@@ -47,7 +47,28 @@ let big_table =
     };
   t
 
-let tests =
+(* Engine.after + Engine.step with [depth] far-future entries standing
+   in the queue, each re-arming a second later when it fires, as
+   client timeouts do; 2, 1200 and 20 000 are the standing depths of
+   perf/'s fwd_chain, tcp_bulk and names_storm. *)
+let engine_after_step depth =
+  let eng = Engine.create () in
+  let rec stand () = Engine.after eng 1_000_000 stand in
+  for i = 1 to depth do
+    Engine.after eng (i * 1_000_000 / depth) stand
+  done;
+  let ran = ref false in
+  let mark () = ran := true in
+  Test.make ~name:(Printf.sprintf "engine-after-step-%d" depth)
+    (Staged.stage (fun () ->
+         ran := false;
+         Engine.after eng 1 mark;
+         while not !ran do
+           ignore (Engine.step eng : bool)
+         done))
+
+(* A function, so the engines above are built only when E12 runs. *)
+let tests () =
   [
     Test.make ~name:"checksum-1460B" (Staged.stage (fun () ->
         Packet.Checksum.of_bytes payload_1460 ~pos:0 ~len:1460));
@@ -70,6 +91,9 @@ let tests =
         done;
         let rec drain () = match Stdext.Heap.pop h with Some _ -> drain () | None -> () in
         drain ()));
+    engine_after_step 2;
+    engine_after_step 1200;
+    engine_after_step 20_000;
     Test.make ~name:"rng-bits64" (Staged.stage (let r = Stdext.Rng.create 1 in
         fun () -> Stdext.Rng.bits64 r));
   ]
@@ -97,7 +121,7 @@ let run () =
             | Some _ | None -> [ name; "-" ] :: acc)
           analyzed []
         |> List.concat)
-      tests
+      (tests ())
   in
   Util.table [ "operation"; "ns/run" ] rows;
   Util.note

@@ -2,17 +2,16 @@
 
    E13 made the gateway's per-packet budget cheap; the paper's §7 puts
    the remaining cost of the full TCP service at the endpoints.  This
-   experiment measures the three end-host optimisations together:
-   Van Jacobson header prediction on receive, allocation-free segment
-   emission on send, and the hashed timing wheel under the protocol
-   timers.
+   experiment measures the two end-host optimisations together: Van
+   Jacobson header prediction on receive and allocation-free segment
+   emission on send.
 
    Phase 1 pushes a bulk TCP transfer through one gateway (a — g1 — b)
-   twice — fast path + wheel on, then both off — and reports segments/s
-   of host CPU and allocated words per segment.  Phase 2 churns timers
-   the way 200 interactive connections do (periodic small writes arming
+   twice — fast path on, then off — and reports segments/s of host CPU
+   and allocated words per segment.  Phase 2 churns timers the way 200
+   interactive connections do (periodic small writes arming
    retransmission and delayed-ACK timers constantly) and reports timer
-   arms per second of wall clock on the wheel vs the heap.
+   arms per second of wall clock on the engine's timing wheel.
 
    The two paths are behaviourally identical (test/test_tcp_fastpath.ml
    proves byte-identical delivery); only the cost differs.  Results go
@@ -32,7 +31,7 @@ let gigabit =
 
 type outcome = { sps : float; words_per_seg : float }
 
-(* Phase 1: one bulk transfer, host fast path + wheel on or off.  The
+(* Phase 1: one bulk transfer, host fast path on or off.  The
    gateway keeps its (PR-1) defaults in both runs, so the difference is
    purely the endpoints'.  The driver is deliberately leaner than
    Apps.Bulk: a reusable send chunk and a byte-counting sink, so the
@@ -50,7 +49,6 @@ let run_transfer ~fast ~total =
   Tcp.set_fast_path a.Internet.h_tcp fast;
   Tcp.set_fast_path b.Internet.h_tcp fast;
   let eng = Internet.engine t in
-  Engine.set_timer_wheel eng fast;
   let received = ref 0 in
   ignore
     (Tcp.listen b.Internet.h_tcp ~port:80 ~accept:(fun c ->
@@ -97,16 +95,13 @@ let run_transfer ~fast ~total =
    5 ms for four simulated seconds: every burst arms a retransmission
    timer at the sender and a delayed-ACK timer at the receiver, the
    steady-state load timing wheels were invented for. *)
-let run_churn ~fast ~conns =
+let run_churn ~conns =
   let t = Internet.create ~seed:7 () in
   let a = Internet.add_host t "a" in
   let b = Internet.add_host t "b" in
   ignore (Internet.connect t gigabit a.Internet.h_node b.Internet.h_node);
   Internet.start t;
-  Tcp.set_fast_path a.Internet.h_tcp fast;
-  Tcp.set_fast_path b.Internet.h_tcp fast;
   let eng = Internet.engine t in
-  Engine.set_timer_wheel eng fast;
   ignore
     (Tcp.listen b.Internet.h_tcp ~port:9 ~accept:(fun c ->
          Tcp.on_receive c (fun _ -> ())));
@@ -132,29 +127,29 @@ let run_churn ~fast ~conns =
   if starts = 0 then failwith "E14: churn armed no timers";
   float_of_int starts /. wall
 
-let write_json ~total ~slow ~fast ~slow_tops ~fast_tops ~speedup ~alloc_ratio =
+let write_json ~total ~slow ~fast ~tops ~speedup ~alloc_ratio =
   let open Trace.Json in
-  let outcome o tops =
+  let outcome o =
     Obj
       [ ("segments_per_sec", Float o.sps);
-        ("words_per_segment", Float o.words_per_seg);
-        ("timer_ops_per_sec", Float tops) ]
+        ("words_per_segment", Float o.words_per_seg) ]
   in
   Util.write_json "BENCH_tcp.json"
     (Obj
        [ ("experiment", Str "E14");
          ("topology", Str "a - g1 - b");
          ("transfer_bytes", Int total);
-         ("fast", outcome fast fast_tops);
-         ("slow", outcome slow slow_tops);
+         ("fast", outcome fast);
+         ("slow", outcome slow);
          ("speedup", Float speedup);
-         ("alloc_ratio", Float alloc_ratio) ])
+         ("alloc_ratio", Float alloc_ratio);
+         ("timer_ops_per_sec", Float tops) ])
 
 let run () =
   Util.banner "E14" "transport (end-host) fast path"
-    "header prediction + allocation-free emission + a timing wheel beat \
-     the textbook receive/send/timer paths by >=1.5x segments/s and >=2x \
-     fewer words allocated per segment";
+    "header prediction + allocation-free emission beat the textbook \
+     receive/send paths by >=1.5x segments/s and >=2x fewer words \
+     allocated per segment";
   let total = Util.scaled full_transfer_bytes in
   let conns = Util.scaled full_churn_conns in
   (* Simulations are deterministic; only the wall clock is noisy.  Take
@@ -163,22 +158,18 @@ let run () =
   let best2 f = let a = f () in let b = f () in if b.sps > a.sps then b else a in
   let slow = best2 (fun () -> run_transfer ~fast:false ~total) in
   let fast = best2 (fun () -> run_transfer ~fast:true ~total) in
-  let slow_tops = max (run_churn ~fast:false ~conns) (run_churn ~fast:false ~conns) in
-  let fast_tops = max (run_churn ~fast:true ~conns) (run_churn ~fast:true ~conns) in
+  let tops = max (run_churn ~conns) (run_churn ~conns) in
   let speedup = fast.sps /. slow.sps in
   let alloc_ratio = slow.words_per_seg /. fast.words_per_seg in
   Util.table
-    [ "path"; "segments/s"; "words/segment"; "timer arms/s" ]
+    [ "path"; "segments/s"; "words/segment" ]
     [
       [ "slow (rfc793 dispatch)"; Printf.sprintf "%.0f" slow.sps;
-        Printf.sprintf "%.1f" slow.words_per_seg;
-        Printf.sprintf "%.0f" slow_tops ];
+        Printf.sprintf "%.1f" slow.words_per_seg ];
       [ "fast (prediction)"; Printf.sprintf "%.0f" fast.sps;
-        Printf.sprintf "%.1f" fast.words_per_seg;
-        Printf.sprintf "%.0f" fast_tops ];
+        Printf.sprintf "%.1f" fast.words_per_seg ];
     ];
   Util.note "speedup %.2fx, %.2fx fewer words/segment over a %d-byte transfer"
     speedup alloc_ratio total;
-  Util.note "timer churn: %d connections, wheel %.2fx the heap's arm rate"
-    conns (fast_tops /. slow_tops);
-  write_json ~total ~slow ~fast ~slow_tops ~fast_tops ~speedup ~alloc_ratio
+  Util.note "timer churn: %d connections, %.0f timer arms/s" conns tops;
+  write_json ~total ~slow ~fast ~tops ~speedup ~alloc_ratio

@@ -62,7 +62,6 @@ let topo_run ~fast ~seed ~hostile ~total =
   let a_tcp = Tcp.create a_ip and b_tcp = Tcp.create b_ip in
   Tcp.set_fast_path a_tcp fast;
   Tcp.set_fast_path b_tcp fast;
-  Engine.set_timer_wheel eng fast;
   let server = Apps.Bulk.serve b_tcp ~port:80 ~seed:(3 * seed) in
   let sender =
     Apps.Bulk.start a_tcp ~dst:b_addr ~dst_port:80 ~seed:(3 * seed) ~total ()

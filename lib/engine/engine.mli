@@ -3,7 +3,24 @@
     A single virtual clock (integer microseconds) and an event queue; every
     protocol timer, link transmission and application action in the system
     is an event on one engine.  Events scheduled for the same instant fire
-    in scheduling order, so runs are fully deterministic. *)
+    in scheduling order, so runs are fully deterministic.
+
+    The queue is one hierarchical timing wheel (Varghese & Lauck, scheme
+    7): four levels of 256 slots, level [l] indexed by byte [l] of the
+    deadline, plus an overflow list for deadlines outside the cursor's
+    2{^32} µs block.  An event goes on the level of the highest byte in
+    which its deadline differs from the wheel's cursor, which never passes
+    the clock.  Scheduling is O(1); taking the next event is amortised
+    O(1), moving a slot's events one level down ("cascading") as the
+    cursor reaches it.  Neither allocates: events live in an int-indexed
+    slab recycled through a free list, so {!schedule} and {!after} cost
+    only the caller's closure.
+
+    Same-instant order needs no sequence number.  Slot lists and the
+    overflow list are FIFO, a slot is cascaded (in list order) only when
+    every lower level is empty, and the cursor enters a slot's span only
+    by cascading it.  Hence all events due at one instant always share
+    one list, joined in scheduling order, and leave it in that order. *)
 
 type t
 
@@ -43,12 +60,11 @@ val after : t -> int -> (unit -> unit) -> unit
 (** Cancellable timers, used for protocol timeouts that are usually
     cancelled before firing (retransmission, delayed ACK, reassembly).
 
-    Near-future timers are kept on a hashed timing wheel (O(1) arm, no
-    sifting; O(1) disarm, a flag) rather than the main event heap;
-    far-future timers fall back to the heap.  The two queues are merged
-    in exact (time, sequence) order and cancelled shells are discarded
-    identically on both, so firing order — and therefore every
-    simulation — is identical to a single-heap engine. *)
+    A timer is an ordinary event carrying a two-field handle, the only
+    allocation besides the closure.  Cancelling sets a flag and leaves the
+    event queued as a {e shell}: shells count in {!pending}, are discarded
+    when they reach the front without counting as steps, and still
+    advance the clock to their time, exactly like live events. *)
 module Timer : sig
   type handle
 
@@ -61,15 +77,6 @@ module Timer : sig
   val active : handle -> bool
   (** [true] while armed and not yet fired. *)
 end
-
-val set_timer_wheel : t -> bool -> unit
-(** Route subsequent {!Timer.start} calls through the timing wheel ([true],
-    the default) or the event heap ([false]).  Affects performance only;
-    firing order is identical either way.  Existing armed timers stay
-    where they are. *)
-
-val timer_wheel : t -> bool
-(** Current {!set_timer_wheel} setting. *)
 
 val timer_starts : t -> int
 (** Cumulative count of {!Timer.start} calls, for instrumentation. *)

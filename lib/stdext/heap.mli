@@ -1,9 +1,9 @@
 (** Binary min-heap keyed by [(int, int)] pairs.
 
-    The event queue of the simulation engine needs a priority queue ordered
-    by (time, insertion sequence): the sequence component makes the pop
-    order of same-time events deterministic (FIFO in insertion order),
-    which keeps whole simulations reproducible. *)
+    Ordered by (key, insertion sequence), as link-state routing's Dijkstra
+    needs: the sequence component makes the pop order of equal keys
+    deterministic (FIFO in insertion order), which keeps whole simulations
+    reproducible. *)
 
 type 'a t
 (** Heap of values of type ['a]. *)
@@ -29,13 +29,11 @@ val peek : 'a t -> (int * int * 'a) option
 
 val min_key : 'a t -> int
 (** Key of the minimum element without allocating.  @raise Not_found when
-    empty.  The engine's hot loop uses this instead of {!peek} so that
-    inspecting the queue head costs no tuple. *)
+    empty. *)
 
 val min_seq : 'a t -> int
 (** Sequence of the minimum element without allocating.  @raise Not_found
-    when empty.  With {!min_key} this lets the engine merge the heap with
-    the timer wheel in exact (key, seq) order. *)
+    when empty. *)
 
 val pop_min : 'a t -> 'a
 (** Remove the minimum and return its value without allocating.

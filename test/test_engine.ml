@@ -158,35 +158,209 @@ let test_nested_scheduling_determinism () =
     (trace (Engine.create ()))
     (trace (Engine.create ()))
 
-let prop_wheel_heap_equivalence =
-  (* The timing wheel is a pure performance substitution: the same program
-     of timers (near- and far-future), cancellations and plain events must
-     produce the identical firing trace and final clock with the wheel on
-     or off.  Delays straddle the wheel horizon (~2.1 s) so both routes in
-     [Timer.start] are exercised. *)
-  QCheck.Test.make ~name:"timer wheel fires identically to the heap"
-    ~count:100
-    QCheck.(list (triple (0 -- 3_000_000) (0 -- 50) bool))
-    (fun ops ->
-      let trace use_wheel =
-        let e = Engine.create () in
-        Engine.set_timer_wheel e use_wheel;
-        let log = Buffer.create 256 in
-        List.iteri
-          (fun i (delay, cancel_at, do_cancel) ->
-            let h =
-              Engine.Timer.start e ~after:delay (fun () ->
-                  Buffer.add_string log
-                    (Printf.sprintf "t%d@%d;" i (Engine.now e)))
-            in
-            if do_cancel then
-              Engine.schedule e ~at:cancel_at (fun () ->
-                  Engine.Timer.cancel h))
-          ops;
-        Engine.run e;
-        (Buffer.contents log, Engine.now e)
-      in
-      trace true = trace false)
+let test_until_then_schedule_next () =
+  (* [run ~until] must not move the wheel's cursor past the clock while
+     looking for the next event: an event scheduled just after [until]
+     still comes before the far one it stopped short of. *)
+  let e = Engine.create () in
+  let log = ref [] in
+  Engine.after e 1_000_000 (fun () -> log := "far" :: !log);
+  Engine.run ~until:700_000 e;
+  check Alcotest.int "clock parked" 700_000 (Engine.now e);
+  Engine.schedule e ~at:700_001 (fun () -> log := "near" :: !log);
+  Engine.run e;
+  check (Alcotest.list Alcotest.string) "near first" [ "near"; "far" ]
+    (List.rev !log)
+
+(* Reference model: the simplest correct queue, a list kept sorted by
+   (time, seq), driven by the same loops the engine documents. *)
+module Ref = struct
+  type ev = {
+    at : int;
+    seq : int;
+    fn : unit -> unit;
+    mutable cancelled : bool;
+    mutable fired : bool;
+  }
+
+  type t = { mutable clock : int; mutable seq : int; mutable q : ev list }
+
+  let create () = { clock = 0; seq = 0; q = [] }
+
+  let schedule t ~at fn =
+    if at < t.clock then invalid_arg "Ref.schedule";
+    let ev = { at; seq = t.seq; fn; cancelled = false; fired = false } in
+    t.seq <- t.seq + 1;
+    let rec insert = function
+      | e :: rest when compare (e.at, e.seq) (at, ev.seq) < 0 -> e :: insert rest
+      | l -> ev :: l
+    in
+    t.q <- insert t.q;
+    ev
+
+  let pop t =
+    match t.q with
+    | [] -> None
+    | ev :: rest ->
+        t.q <- rest;
+        t.clock <- ev.at;
+        if ev.cancelled then Some false
+        else begin
+          ev.fired <- true;
+          ev.fn ();
+          Some true
+        end
+
+  let rec step t =
+    match pop t with None -> false | Some true -> true | Some false -> step t
+
+  let run ?until ?max_events t =
+    let executed = ref 0 in
+    let rec loop () =
+      match (max_events, t.q, until) with
+      | Some m, _, _ when !executed >= m -> ()
+      | _, [], _ -> ()
+      | _, ev :: _, Some u when ev.at > u -> t.clock <- u
+      | _ ->
+          if pop t = Some true then incr executed;
+          loop ()
+    in
+    loop ()
+end
+
+(* A random program: arms (plain [after], absolute [schedule] and timers)
+   whose handlers arm and cancel more, interleaved with [step],
+   [run ~until] and [run ~max_events]. *)
+type kind = After | At | Timer
+type cmd = Arm of kind * int * cmd list | Cancel of int
+type top = Do of cmd | Step | Until of int | Max of int
+
+(* One queue under test, as the interpreter sees it. *)
+type queue = {
+  now : unit -> int;
+  pending : unit -> int;
+  after : int -> (unit -> unit) -> unit;
+  schedule : int -> (unit -> unit) -> unit;
+  start : int -> (unit -> unit) -> (unit -> unit) * (unit -> bool);
+  step : unit -> bool;
+  run : ?until:int -> ?max_events:int -> unit -> unit;
+}
+
+let engine_queue () =
+  let e = Engine.create () in
+  {
+    now = (fun () -> Engine.now e);
+    pending = (fun () -> Engine.pending e);
+    after = (fun d fn -> Engine.after e d fn);
+    schedule = (fun at fn -> Engine.schedule e ~at fn);
+    start =
+      (fun d fn ->
+        let h = Engine.Timer.start e ~after:d fn in
+        ((fun () -> Engine.Timer.cancel h), fun () -> Engine.Timer.active h));
+    step = (fun () -> Engine.step e);
+    run = (fun ?until ?max_events () -> Engine.run ?until ?max_events e);
+  }
+
+let ref_queue () =
+  let r = Ref.create () in
+  {
+    now = (fun () -> r.Ref.clock);
+    pending = (fun () -> List.length r.Ref.q);
+    after = (fun d fn -> ignore (Ref.schedule r ~at:(r.Ref.clock + d) fn));
+    schedule = (fun at fn -> ignore (Ref.schedule r ~at fn));
+    start =
+      (fun d fn ->
+        let ev = Ref.schedule r ~at:(r.Ref.clock + d) fn in
+        ( (fun () -> ev.Ref.cancelled <- true),
+          fun () -> (not ev.Ref.fired) && not ev.Ref.cancelled ));
+    step = (fun () -> Ref.step r);
+    run = (fun ?until ?max_events () -> Ref.run ?until ?max_events r);
+  }
+
+(* Run [prog] on [q]; the observation after every top-level call is the
+   firing log so far, [now] and [pending], then every timer's [active]. *)
+let observe q prog =
+  let log = Buffer.create 256 in
+  let obs = ref [] in
+  let timers = ref [] in
+  let ids = ref 0 in
+  let rec exec = function
+    | Arm (kind, d, children) ->
+        let id = !ids in
+        incr ids;
+        let fn () =
+          Printf.bprintf log "%d@%d;" id (q.now ());
+          List.iter exec children
+        in
+        (match kind with
+        | After -> q.after d fn
+        | At -> q.schedule (q.now () + d) fn
+        | Timer -> timers := q.start d fn :: !timers)
+    | Cancel k -> (
+        match !timers with
+        | [] -> ()
+        | l -> fst (List.nth l (k mod List.length l)) ())
+  in
+  List.iter
+    (fun top ->
+      (match top with
+      | Do c -> exec c
+      | Step -> Printf.bprintf log "s%b;" (q.step ())
+      | Until d -> q.run ~until:(q.now () + d) ()
+      | Max n -> q.run ~max_events:n ());
+      obs := (Buffer.contents log, q.now (), q.pending ()) :: !obs)
+    prog;
+  (List.rev !obs, List.map (fun (_, active) -> active ()) !timers)
+
+let gen_delay =
+  let edges =
+    [ 255; 256; 257; 65_535; 65_536; 65_537; (1 lsl 24) - 1; 1 lsl 24;
+      (1 lsl 24) + 1; (1 lsl 32) - 1; 1 lsl 32; (1 lsl 32) + 1 ]
+  in
+  QCheck.Gen.(
+    frequency
+      [ (4, int_range 0 300); (2, oneofl [ 0; 1; 5 ]); (2, oneofl edges);
+        (1, int_range 0 70_000); (1, int_range 0 (1 lsl 33)) ])
+
+let rec gen_cmd depth =
+  QCheck.Gen.(
+    frequency
+      [ ( 5,
+          map3
+            (fun k d cs -> Arm (k, d, cs))
+            (oneofl [ After; At; Timer ])
+            gen_delay
+            (if depth = 0 then return []
+             else list_size (int_range 0 3) (gen_cmd (depth - 1))) );
+        (2, map (fun k -> Cancel k) nat) ])
+
+let gen_top =
+  QCheck.Gen.(
+    frequency
+      [ (6, map (fun c -> Do c) (gen_cmd 2)); (2, return Step);
+        (2, map (fun d -> Until d) (oneof [ gen_delay; int_range (-300) 0 ]));
+        (1, map (fun n -> Max n) (int_range 0 5)) ])
+
+let rec show_cmd = function
+  | Arm (k, d, cs) ->
+      Printf.sprintf "%s %d [%s]"
+        (match k with After -> "after" | At -> "at" | Timer -> "timer")
+        d
+        (String.concat "; " (List.map show_cmd cs))
+  | Cancel k -> Printf.sprintf "cancel %d" k
+
+let show_top = function
+  | Do c -> show_cmd c
+  | Step -> "step"
+  | Until d -> Printf.sprintf "until now+%d" d
+  | Max n -> Printf.sprintf "max %d" n
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"engine matches a sorted reference queue" ~count:1000
+    (QCheck.make
+       ~print:(fun p -> String.concat "\n" (List.map show_top p))
+       QCheck.Gen.(list_size (int_range 1 40) gen_top))
+    (fun prog -> observe (engine_queue ()) prog = observe (ref_queue ()) prog)
 
 let test_unit_conversions () =
   check Alcotest.int "ms" 2_000 (Engine.ms 2);
@@ -219,6 +393,8 @@ let () =
           Alcotest.test_case "purge respects until" `Quick
             test_run_until_purge_respects_boundary;
           Alcotest.test_case "determinism" `Quick test_nested_scheduling_determinism;
-          QCheck_alcotest.to_alcotest prop_wheel_heap_equivalence;
+          Alcotest.test_case "until then schedule next" `Quick
+            test_until_then_schedule_next;
+          QCheck_alcotest.to_alcotest prop_matches_reference;
         ] );
     ]

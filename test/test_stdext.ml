@@ -180,52 +180,6 @@ let prop_heap_sorts =
       let out = drain [] in
       out = List.sort compare (List.map fst pairs))
 
-(* --- Wheel -------------------------------------------------------------- *)
-
-let test_wheel_order () =
-  let w = Stdext.Wheel.create ~slots:64 ~granularity:100 () in
-  (* 150 and 150 + 64*100 hash to the same slot but different rounds. *)
-  Stdext.Wheel.add w ~at:150 ~seq:0 "a";
-  Stdext.Wheel.add w ~at:(150 + 6400) ~seq:1 "far";
-  Stdext.Wheel.add w ~at:120 ~seq:2 "b";
-  Stdext.Wheel.add w ~at:120 ~seq:3 "c";
-  check Alcotest.int "length" 4 (Stdext.Wheel.length w);
-  check Alcotest.int "min_key" 120 (Stdext.Wheel.min_key w);
-  check Alcotest.string "tie broken by seq" "b" (Stdext.Wheel.pop_min w);
-  check Alcotest.string "then its twin" "c" (Stdext.Wheel.pop_min w);
-  check Alcotest.string "then this round" "a" (Stdext.Wheel.pop_min w);
-  check Alcotest.string "next round last" "far" (Stdext.Wheel.pop_min w);
-  check Alcotest.int "drained" max_int (Stdext.Wheel.min_key w);
-  check Alcotest.bool "pop on empty raises" true
-    (match Stdext.Wheel.pop_min w with
-    | _ -> false
-    | exception Not_found -> true)
-
-let test_wheel_interleaved () =
-  (* Pops interleaved with adds must not let a later add shadow an earlier
-     resident entry (the cached-minimum invariant). *)
-  let w = Stdext.Wheel.create ~slots:8 ~granularity:16 () in
-  Stdext.Wheel.add w ~at:10 ~seq:0 10;
-  Stdext.Wheel.add w ~at:20 ~seq:1 20;
-  check Alcotest.int "first" 10 (Stdext.Wheel.pop_min w);
-  Stdext.Wheel.add w ~at:30 ~seq:2 30;
-  check Alcotest.int "resident beats new" 20 (Stdext.Wheel.pop_min w);
-  check Alcotest.int "then new" 30 (Stdext.Wheel.pop_min w)
-
-let prop_wheel_vs_sorted =
-  QCheck.Test.make ~name:"wheel pops like a sorted queue" ~count:200
-    QCheck.(list (0 -- 20_000))
-    (fun ats ->
-      let w = Stdext.Wheel.create ~slots:32 ~granularity:64 () in
-      List.iteri (fun i at -> Stdext.Wheel.add w ~at ~seq:i (at, i)) ats;
-      let expected = List.sort compare (List.mapi (fun i at -> (at, i)) ats) in
-      let rec drain acc =
-        match Stdext.Wheel.pop_min w with
-        | v -> drain (v :: acc)
-        | exception Not_found -> List.rev acc
-      in
-      drain [] = expected)
-
 (* --- Bytio -------------------------------------------------------------- *)
 
 let test_bytio_roundtrip () =
@@ -366,12 +320,6 @@ let () =
             test_heap_reusable_after_clear;
           Alcotest.test_case "min_key/pop_min" `Quick test_heap_min_key_pop_min;
           qcheck prop_heap_sorts;
-        ] );
-      ( "wheel",
-        [
-          Alcotest.test_case "ordering" `Quick test_wheel_order;
-          Alcotest.test_case "interleaved add/pop" `Quick test_wheel_interleaved;
-          qcheck prop_wheel_vs_sorted;
         ] );
       ( "bytio",
         [

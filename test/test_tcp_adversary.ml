@@ -52,7 +52,6 @@ let run_attacked ~fast ~seed ~hostile ~total =
   Internet.start t;
   Tcp.set_fast_path a.Internet.h_tcp fast;
   Tcp.set_fast_path b.Internet.h_tcp fast;
-  Engine.set_timer_wheel (Internet.engine t) fast;
   let a_addr = Internet.addr_of t a.Internet.h_node in
   let b_addr = Internet.addr_of t b.Internet.h_node in
   let pseed = 7 * seed in

@@ -1,10 +1,10 @@
-(* Differential tests for the transport fast path.  Header prediction,
-   allocation-free emission and the timing wheel are pure performance
-   substitutions: the same seeded network must produce byte-identical
-   transfers, identical segment/retransmit counts and identical final
-   connection state whether the fast path is on or off.  Every run here
-   executes twice — fast path + wheel on, then both off (the legacy
-   slow path) — and the two outcomes are compared field by field. *)
+(* Differential tests for the transport fast path.  Header prediction
+   and allocation-free emission are pure performance substitutions: the
+   same seeded network must produce byte-identical transfers, identical
+   segment/retransmit counts and identical final connection state whether
+   the fast path is on or off.  Every run here executes twice — fast path
+   on, then off (the legacy slow path) — and the two outcomes are
+   compared field by field. *)
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -39,7 +39,6 @@ let run_transfer ~fast ~seed ~loss ~jitter_us ~total =
   Internet.start t;
   Tcp.set_fast_path a.Internet.h_tcp fast;
   Tcp.set_fast_path b.Internet.h_tcp fast;
-  Engine.set_timer_wheel (Internet.engine t) fast;
   let pseed = 7 * seed in
   let server = Apps.Bulk.serve b.Internet.h_tcp ~port:80 ~seed:pseed in
   let sender =
