@@ -4,10 +4,11 @@
 
      wire      - wire modules declare a [layout] table [(field, offset,
                  width)]; every constant byte access in encode/peek/
-                 encode_into/patch_* must land on whole fields, tables
-                 must be gapless and overlap-free, and encode/decode
-                 must touch the same bytes (checksum fields excepted -
-                 they are verified by checksum folding, not read back).
+                 encode_into/encode_fields/patch_* must land on whole
+                 fields, tables must be gapless and overlap-free, and
+                 encode/decode must touch the same bytes (checksum
+                 fields excepted - they are verified by checksum
+                 folding, not read back).
      fastpath  - [@@fastpath]-tagged functions may not syntactically
                  allocate nor call untagged module-level functions.
                  [@fastpath.exempt] on an expression waives the rule for
@@ -385,7 +386,7 @@ let collect_accesses ~fn_name body =
                           | _ -> e in s body));
   List.rev !accs
 
-let write_fn_names = [ "encode"; "encode_into"; "create"; "add" ]
+let write_fn_names = [ "encode"; "encode_into"; "encode_fields"; "create"; "add" ]
 
 let is_read_fn name =
   (String.length name >= 4 && String.sub name 0 4 = "peek")

@@ -22,7 +22,7 @@ type t = {
   net : Netsim.t;
   mutable node : int array;  (* slot -> netsim node *)
   mutable iface : int array;  (* slot -> the host's single iface *)
-  mutable addr : int array;  (* slot -> address bits *)
+  mutable addr : Addr.t array;  (* slot -> address *)
   mutable tx : int array;  (* slot -> datagrams sent *)
   mutable rx : int array;  (* slot -> datagrams delivered *)
   mutable n : int;
@@ -46,32 +46,34 @@ type t = {
          stay count-only. *)
 }
 
-let addr_bits a = Int32.to_int (Addr.to_int32 a) land 0xffffffff
-
+(* Everything is read in place from the frame: a datagram for a pooled
+   host costs no header, result or address box on its way in. *)
 let receive t ~node ~iface:_ frame =
   if node < Array.length t.slot_of_node then begin
     let slot = Array.unsafe_get t.slot_of_node node in
     if slot >= 0 then begin
-      match Ipv4.peek frame with
-      | Ok h
-        when (let p = Ipv4.Proto.to_int h.Ipv4.proto in
-              p = proto || p = 17 (* UDP: see [send_udp] *))
-             && addr_bits h.Ipv4.dst = Array.unsafe_get t.addr slot ->
-          Array.unsafe_set t.rx slot (Array.unsafe_get t.rx slot + 1);
-          t.rx_total <- t.rx_total + 1;
-          (match t.udp_sink with
-          | Some sink when Ipv4.Proto.to_int h.Ipv4.proto = 17 -> (
-              let plen = Bytes.length frame - Ipv4.header_size in
-              match
-                Udp_wire.decode ~src:h.Ipv4.src ~dst:h.Ipv4.dst
-                  (Bytes.sub frame Ipv4.header_size plen)
-              with
-              | Ok d ->
-                  sink slot ~src:h.Ipv4.src ~src_port:d.Udp_wire.src_port
-                    ~dst_port:d.Udp_wire.dst_port d.Udp_wire.payload
-              | Error _ -> ())
-          | Some _ | None -> ())
-      | Ok _ | Error _ -> t.rx_stray <- t.rx_stray + 1
+      let p = if Ipv4.valid frame then Ipv4.peek_proto frame else -1 in
+      if
+        (p = proto || p = 17 (* UDP: see [send_udp] *))
+        && Addr.equal (Ipv4.peek_dst frame) (Array.unsafe_get t.addr slot)
+      then begin
+        Array.unsafe_set t.rx slot (Array.unsafe_get t.rx slot + 1);
+        t.rx_total <- t.rx_total + 1;
+        match t.udp_sink with
+        | Some sink when p = 17 -> (
+            let src = Ipv4.peek_src frame in
+            let plen = Bytes.length frame - Ipv4.header_size in
+            match
+              Udp_wire.decode ~src ~dst:(Ipv4.peek_dst frame)
+                (Bytes.sub frame Ipv4.header_size plen)
+            with
+            | Ok d ->
+                sink slot ~src ~src_port:d.Udp_wire.src_port
+                  ~dst_port:d.Udp_wire.dst_port d.Udp_wire.payload
+            | Error _ -> ())
+        | Some _ | None -> ()
+      end
+      else t.rx_stray <- t.rx_stray + 1
     end
   end
 
@@ -81,7 +83,7 @@ let create net =
       net;
       node = Array.make 64 0;
       iface = Array.make 64 0;
-      addr = Array.make 64 0;
+      addr = Array.make 64 Addr.any;
       tx = Array.make 64 0;
       rx = Array.make 64 0;
       n = 0;
@@ -108,7 +110,7 @@ let attach t ~node ~iface ~addr =
   if t.n = Array.length t.node then begin
     t.node <- grow_to 0 t.node 0;
     t.iface <- grow_to 0 t.iface 0;
-    t.addr <- grow_to 0 t.addr 0;
+    t.addr <- grow_to 0 t.addr Addr.any;
     t.tx <- grow_to 0 t.tx 0;
     t.rx <- grow_to 0 t.rx 0
   end;
@@ -117,40 +119,48 @@ let attach t ~node ~iface ~addr =
   let slot = t.n in
   t.node.(slot) <- node;
   t.iface.(slot) <- iface;
-  t.addr.(slot) <- addr_bits addr;
+  t.addr.(slot) <- addr;
   t.slot_of_node.(node) <- slot;
   t.n <- t.n + 1;
   slot
 
 let set_udp_sink t sink = t.udp_sink <- sink
 let node t slot = t.node.(slot)
-let addr t slot = Addr.of_int32 (Int32.of_int t.addr.(slot))
+let addr t slot = t.addr.(slot)
 let tx_count t slot = t.tx.(slot)
 let rx_count t slot = t.rx.(slot)
 let tx_total t = t.tx_total
 let rx_total t = t.rx_total
 let rx_stray t = t.rx_stray
 
-let send t slot ~dst payload =
-  let h =
-    Ipv4.make_header ~proto:(Ipv4.Proto.Other proto) ~src:(addr t slot) ~dst
-      ()
-  in
-  let frame = Ipv4.encode h ~payload in
+let pool_proto = Ipv4.Proto.Other proto
+
+(* Write the IP header into [frame], whose payload is in place after it,
+   and send it. *)
+let transmit t slot ~proto ~dst frame =
+  Ipv4.encode_fields frame ~tos:Ipv4.Tos.Routine ~id:0 ~dont_fragment:false
+    ~more_fragments:false ~frag_offset:0 ~ttl:64 ~proto ~src:t.addr.(slot)
+    ~dst;
   t.tx.(slot) <- t.tx.(slot) + 1;
   t.tx_total <- t.tx_total + 1;
   Netsim.send t.net t.node.(slot) ~iface:t.iface.(slot) frame
 
+let send t slot ~dst payload =
+  let len = Bytes.length payload in
+  let frame = Bytes.create (Ipv4.header_size + len) in
+  Bytes.blit payload 0 frame Ipv4.header_size len;
+  transmit t slot ~proto:pool_proto ~dst frame
+
 (* Real UDP off a pooled host — the port-churn generator flow-accounting
    benchmarks need (pool datagrams are portless, so a pool pair is one
-   flow no matter how many it sends; UDP gives 2^32 flows per pair). *)
+   flow no matter how many it sends; UDP gives 2^32 flows per pair).
+   The UDP header is written around the payload in the same frame. *)
 let send_udp t slot ~dst ~src_port ~dst_port payload =
-  let src = addr t slot in
-  let h = Ipv4.make_header ~proto:Ipv4.Proto.Udp ~src ~dst () in
-  let frame =
-    Ipv4.encode h
-      ~payload:(Udp_wire.encode ~src ~dst { Udp_wire.src_port; dst_port; payload })
-  in
-  t.tx.(slot) <- t.tx.(slot) + 1;
-  t.tx_total <- t.tx_total + 1;
-  Netsim.send t.net t.node.(slot) ~iface:t.iface.(slot) frame
+  let len = Bytes.length payload in
+  let frame = Bytes.create (Ipv4.header_size + Udp_wire.header_size + len) in
+  Bytes.blit payload 0 frame (Ipv4.header_size + Udp_wire.header_size) len;
+  ignore
+    (Udp_wire.encode_into ~src:t.addr.(slot) ~dst ~src_port ~dst_port
+       ~payload_len:len frame ~pos:Ipv4.header_size
+      : int);
+  transmit t slot ~proto:Ipv4.Proto.Udp ~dst frame

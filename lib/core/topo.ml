@@ -70,10 +70,10 @@ let host_addr t ~region ~index =
 (* Region r owns 10.0.0.0/8 carved into /20s: up to 4096 regions of up
    to 4093 hosts. *)
 let region_prefix r =
-  Prefix.make (Addr.of_int32 (Int32.of_int (0x0A000000 lor (r lsl 12)))) 20
+  Prefix.make (Addr.of_int (0x0A000000 lor (r lsl 12))) 20
 
 let region_host r i =
-  Addr.of_int32 (Int32.of_int (0x0A000000 lor (r lsl 12) lor (2 + i)))
+  Addr.of_int (0x0A000000 lor (r lsl 12) lor (2 + i))
 
 (* The region gateway's in-region address, .1 of the region's /20: the
    one gateway address that is *globally routed* (via the region's
@@ -81,7 +81,7 @@ let region_host r i =
    must be reachable from everywhere — the per-region resolver lives
    here — bind to this. *)
 let region_gw_addr r =
-  Addr.of_int32 (Int32.of_int (0x0A000000 lor (r lsl 12) lor 1))
+  Addr.of_int (0x0A000000 lor (r lsl 12) lor 1)
 
 (* Transit p2p links draw /30s from 172.16.0.0/12. *)
 let transit_net k = 0xAC100000 + (4 * k)
@@ -120,8 +120,8 @@ let build cfg =
     let k = !next_transit in
     incr next_transit;
     let base = transit_net k in
-    let a_addr = Addr.of_int32 (Int32.of_int (base + 1)) in
-    let b_addr = Addr.of_int32 (Int32.of_int (base + 2)) in
+    let a_addr = Addr.of_int (base + 1) in
+    let b_addr = Addr.of_int (base + 2) in
     let l = Netsim.add_link net cfg.core_profile core_node.(a) core_node.(b) in
     let (_, ia), (_, ib) = Netsim.endpoints net l in
     Ip.Stack.configure_iface core_gw.(a) ia ~addr:a_addr ~prefix_len:30;
@@ -207,8 +207,8 @@ let build cfg =
     let k = !next_transit in
     incr next_transit;
     let base = transit_net k in
-    let core_addr = Addr.of_int32 (Int32.of_int (base + 1)) in
-    let gw_addr = Addr.of_int32 (Int32.of_int (base + 2)) in
+    let core_addr = Addr.of_int (base + 1) in
+    let gw_addr = Addr.of_int (base + 2) in
     let l = Netsim.add_link net cfg.edge_profile core_node.(attach) gw_node in
     let (_, core_if), (_, gw_if) = Netsim.endpoints net l in
     Ip.Stack.configure_iface core_gw.(attach) core_if ~addr:core_addr

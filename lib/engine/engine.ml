@@ -203,8 +203,9 @@ let schedule t ~at fn =
     invalid_arg
       (Printf.sprintf "Engine.schedule: at=%d is before now=%d" at t.clock);
   push t at fn plain
+[@@fastpath]
 
-let after t d fn = schedule t ~at:(t.clock + d) fn
+let after t d fn = schedule t ~at:(t.clock + d) fn [@@fastpath]
 
 module Timer = struct
   type nonrec handle = handle

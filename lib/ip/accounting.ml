@@ -92,16 +92,14 @@ let meta_of_flow f =
     ~portless:(if f.portless then 1 else 0)
     ~pn:(proto_number f.proto) ~sp:f.src_port ~dp:f.dst_port
 
-let addr_bits a = Int32.to_int (Addr.to_int32 a) land 0xffffffff [@@fastpath]
-
 let fingerprint_of_flow f =
-  fingerprint ~src:(addr_bits f.src) ~dst:(addr_bits f.dst)
+  fingerprint ~src:(Addr.to_int f.src) ~dst:(Addr.to_int f.dst)
     ~meta:(meta_of_flow f)
 
 let flow_of_parts ~src ~dst ~meta =
   let pn = (meta lsr 32) land 0xff in
-  { src = Addr.of_int32 (Int32.of_int src);
-    dst = Addr.of_int32 (Int32.of_int dst);
+  { src = Addr.of_int src;
+    dst = Addr.of_int dst;
     proto =
       (match pn with
       | 1 -> Ipv4.Proto.Icmp
@@ -158,21 +156,21 @@ let record t (h : Ipv4.header) ~payload ~wire_bytes =
           ~portless:(if ported then 0 else 1)
           ~pn:(proto_number h.proto) ~sp ~dp
       in
-      bump_sketch e.sk e.hh ~src:(addr_bits h.src) ~dst:(addr_bits h.dst)
+      bump_sketch e.sk e.hh ~src:(Addr.to_int h.src) ~dst:(Addr.to_int h.dst)
         ~meta ~wire_bytes
 
 (* Same attribution, straight off the received frame: no payload copy,
-   no record construction, nothing allocated in sketch mode.  This is
-   what lets `forward_fast` and the frame-handler delivery road keep
-   accounting on without leaving the fast path. *)
-let record_fast t (h : Ipv4.header) ~frame =
+   no header or record construction, nothing allocated in sketch mode.
+   This is what lets `forward_fast` and the frame-handler delivery road
+   keep accounting on without leaving the fast path. *)
+let record_fast t ~frame =
   let wire_bytes = Bytes.length frame in
   t.total_packets <- t.total_packets + 1;
   t.total_bytes <- t.total_bytes + wire_bytes;
-  let pn = proto_number h.proto in
+  let pn = Ipv4.peek_proto frame in
   let ported =
     (pn = 6 || pn = 17)
-    && h.frag_offset = 0
+    && Ipv4.peek_frag_offset frame = 0
     && wire_bytes >= Ipv4.header_size + 4
   in
   let sp =
@@ -186,14 +184,17 @@ let record_fast t (h : Ipv4.header) ~frame =
       let meta =
         pack_meta ~portless:(if ported then 0 else 1) ~pn ~sp ~dp
       in
-      bump_sketch e.sk e.hh ~src:(addr_bits h.src) ~dst:(addr_bits h.dst)
+      bump_sketch e.sk e.hh
+        ~src:(Addr.to_int (Ipv4.peek_src frame))
+        ~dst:(Addr.to_int (Ipv4.peek_dst frame))
         ~meta ~wire_bytes
   | Exact_table tbl ->
       (* The exact ledger hashes a boxed record — inherently allocating,
          and exactly why it is not the mode for scale runs. *)
       (bump_exact tbl
-         { src = h.src; dst = h.dst; proto = h.proto; src_port = sp;
-           dst_port = dp; portless = not ported }
+         { src = Ipv4.peek_src frame; dst = Ipv4.peek_dst frame;
+           proto = Ipv4.Proto.of_int pn; src_port = sp; dst_port = dp;
+           portless = not ported }
          ~wire_bytes)
       [@fastpath.exempt]
 [@@fastpath]

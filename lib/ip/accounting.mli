@@ -63,9 +63,10 @@ val record : t -> Packet.Ipv4.header -> payload:bytes -> wire_bytes:int -> unit
     extraction from first-fragment transport headers); [wire_bytes] is
     what the gateway actually carried, header included. *)
 
-val record_fast : t -> Packet.Ipv4.header -> frame:bytes -> unit
-(** Same attribution, straight off the received wire frame ([frame]
-    includes the IP header; its length is the wire byte count).
+val record_fast : t -> frame:bytes -> unit
+(** Same attribution, straight off a valid received wire frame ([frame]
+    includes the IP header, read in place; its length is the wire byte
+    count).
     Allocation-free in sketch mode ([@@fastpath], checked by
     catenet-lint); exact mode takes the same ledger path as {!record}. *)
 

@@ -1,7 +1,7 @@
 module Ipv4 = Packet.Ipv4
 module Addr = Packet.Addr
 
-type key = { src : int32; dst : int32; proto : int; id : int }
+type key = { src : Addr.t; dst : Addr.t; proto : int; id : int }
 
 type buffer = {
   mutable fragments : (int * bytes) list; (* offset, data; sorted *)
@@ -23,12 +23,7 @@ let create ?(timeout_us = 30_000_000) ?(node = -1) eng =
 type result = Incomplete | Complete of bytes
 
 let key_of (h : Ipv4.header) =
-  {
-    src = Addr.to_int32 h.src;
-    dst = Addr.to_int32 h.dst;
-    proto = Ipv4.Proto.to_int h.proto;
-    id = h.id;
-  }
+  { src = h.src; dst = h.dst; proto = Ipv4.Proto.to_int h.proto; id = h.id }
 
 (* Insert keeping the list sorted by offset; earlier-arrived data wins on
    exact duplicates. *)
@@ -79,8 +74,7 @@ let push t (h : Ipv4.header) payload =
                   if Trace.want Trace.Cls.ip then
                     Trace.emit
                       (Trace.Event.Ip_drop
-                         { node = t.node; src = Addr.of_int32 k.src;
-                           dst = Addr.of_int32 k.dst;
+                         { node = t.node; src = k.src; dst = k.dst;
                            reason = Trace.Event.Reassembly_timeout })
                 end)
           in

@@ -44,8 +44,6 @@ type t = {
    the shift naturally: (-1) lsl 32 has no low 32 bits set. *)
 let masks = Array.init 33 (fun l -> ((-1) lsl (32 - l)) land 0xffffffff)
 
-let addr_bits a = Int32.to_int (Addr.to_int32 a) land 0xffffffff [@@fastpath]
-
 let root = 0
 
 let create () =
@@ -154,7 +152,7 @@ let common_len a b cap =
 let bump t = t.generation <- t.generation + 1
 
 let add t r =
-  let net = addr_bits (Addr.Prefix.network r.prefix) in
+  let net = Addr.to_int (Addr.Prefix.network r.prefix) in
   let plen = Addr.Prefix.length r.prefix in
   let boxed = Some r in
   let rec insert i =
@@ -221,7 +219,7 @@ let compact t ~parent:p i =
   end
 
 let remove t prefix =
-  let net = addr_bits (Addr.Prefix.network prefix) in
+  let net = Addr.to_int (Addr.Prefix.network prefix) in
   let plen = Addr.Prefix.length prefix in
   let rec descend gp p i =
     if i >= 0 then begin
@@ -297,10 +295,10 @@ let rec lookup_at t a i best =
   end
 [@@fastpath]
 
-let lookup t addr = lookup_at t (addr_bits addr) root None [@@fastpath]
+let lookup t addr = lookup_at t (Addr.to_int addr) root None [@@fastpath]
 
 let find t prefix =
-  let net = addr_bits (Addr.Prefix.network prefix) in
+  let net = Addr.to_int (Addr.Prefix.network prefix) in
   let plen = Addr.Prefix.length prefix in
   let rec go i =
     if i < 0 then None

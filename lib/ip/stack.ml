@@ -64,8 +64,10 @@ type t = {
   cache_val : Route_table.route option array;  (* pre-boxed by the table *)
   cache_stamp : int array;  (* table generation at fill; -1 = empty *)
   mutable iface_addrs : (Netsim.iface * Addr.t) list;
-  protos : (int, Ipv4.header -> bytes -> unit) Hashtbl.t;
-  frame_protos : (int, Ipv4.header -> bytes -> pos:int -> unit) Hashtbl.t;
+  (* Upcalls by protocol number: a stack speaks a handful of protocols,
+     so short lists searched by [upcall] serve without allocating. *)
+  mutable protos : (int * (Ipv4.header -> bytes -> unit)) list;
+  mutable frame_protos : (int * (Ipv4.header -> bytes -> pos:int -> unit)) list;
   mutable error_handlers : (from:Addr.t -> Icmp.t -> unit) list;
   mutable echo_reply_handler : (id:int -> seq:int -> payload:bytes -> unit) option;
   reasm : Reassembly.t;
@@ -98,6 +100,7 @@ let set_tap t tap = t.tap <- tap
 let trace_drop t ~src ~dst reason =
   if Trace.want Trace.Cls.ip then
     Trace.emit (Trace.Event.Ip_drop { node = t.node; src; dst; reason })
+[@@fastpath]
 
 let trace_deliver t (h : Ipv4.header) ~len =
   if Trace.want Trace.Cls.ip then
@@ -105,18 +108,17 @@ let trace_deliver t (h : Ipv4.header) ~len =
       (Trace.Event.Ip_deliver
          { node = t.node; src = h.Ipv4.src; dst = h.Ipv4.dst;
            proto = Ipv4.Proto.to_int h.Ipv4.proto; len })
+[@@fastpath]
 
 (* Route lookup with a per-stack memo.  The memo only pays off on the fast
    path; with the fast path disabled we hit the table directly so that the
    legacy path really is the pre-cache baseline (E13 compares the two). *)
 let route_cache_capacity = 4096 (* power of two: slot index is a mask *)
 
-let addr_key a = Int32.to_int (Addr.to_int32 a) land 0xffffffff [@@fastpath]
-
 let lookup_route t dst =
   if not t.fast then Route_table.lookup t.table dst
   else begin
-    let key = addr_key dst in
+    let key = Addr.to_int dst in
     (* Fibonacci hash: spread region/host structure across the slots. *)
     let slot = (key * 0x2545F491) lsr 13 land (route_cache_capacity - 1) in
     let gen = Route_table.generation t.table in
@@ -140,9 +142,21 @@ let lookup_route t dst =
 
 let iface_addr t i = List.assoc_opt i t.iface_addrs
 
+(* The address of interface [i], or [default]: [iface_addr] without the
+   option. *)
+let rec addr_of_iface i default = function
+  | [] -> default
+  | (i', a) :: rest -> if i = i' then a else addr_of_iface i default rest
+
 let addresses t = List.map snd t.iface_addrs
 
-let has_addr t a = List.exists (fun (_, a') -> Addr.equal a a') t.iface_addrs
+let rec mem_addr a l =
+  match l with
+  | [] -> false
+  | (_, a') :: rest -> Addr.equal a a' || mem_addr a rest
+[@@fastpath]
+
+let has_addr t a = mem_addr a t.iface_addrs [@@fastpath]
 
 let primary_addr t =
   match t.iface_addrs with
@@ -159,10 +173,19 @@ let configure_iface t iface ~addr ~prefix_len =
       metric = 0;
     }
 
+(* The upcall registered for protocol [n]; [Not_found] if none.  Its
+   result is a function, so the typed fast-path lint takes every call
+   for a partial application: the call sites are exempt. *)
+let rec upcall n l =
+  match l with
+  | [] -> raise_notrace Not_found
+  | (n', f) :: rest -> if n = n' then f else upcall n rest
+[@@fastpath]
+
 let register_proto t proto f =
   let n = Ipv4.Proto.to_int proto in
   if n = 1 then invalid_arg "Ip.Stack.register_proto: ICMP is built in";
-  Hashtbl.replace t.protos n f
+  t.protos <- (n, f) :: List.remove_assoc n t.protos
 
 (* A frame handler is an optimisation overlay, not a replacement: the
    receive fast path hands it the whole frame (payload at [pos]) when the
@@ -172,7 +195,7 @@ let register_proto t proto f =
 let register_proto_frame t proto f =
   let n = Ipv4.Proto.to_int proto in
   if n = 1 then invalid_arg "Ip.Stack.register_proto_frame: ICMP is built in";
-  Hashtbl.replace t.frame_protos n f
+  t.frame_protos <- (n, f) :: List.remove_assoc n t.frame_protos
 
 let add_error_handler t f = t.error_handlers <- t.error_handlers @ [ f ]
 let set_echo_reply_handler t f = t.echo_reply_handler <- Some f
@@ -206,11 +229,17 @@ let fragment_payload ~mtu (h : Ipv4.header) payload =
   in
   cut 0 []
 
+(* Passed as [?priority], so a low-delay send builds no option. *)
+let low_delay = Some true
+
 let transmit t iface ~priority frame =
   (match t.tap with Some f -> f ~rx:false frame | None -> ());
-  (* [Netsim.send] clones the frame into the link queue; that copy is the
-     hand-off to the simulated wire, not fast-path overhead. *)
-  ignore (Netsim.send t.net t.node ~priority ~iface frame [@fastpath.exempt])
+  (* [Netsim.send] queues the frame itself, not a copy: the buffer is the
+     sender's no longer, and nothing here touches it again. *)
+  ignore
+    (Netsim.send t.net t.node
+       ?priority:(if priority then low_delay else None)
+       ~iface frame)
 [@@fastpath]
 
 (* Emit (or fragment and emit) one datagram on [iface].  Low-delay ToS
@@ -329,24 +358,49 @@ let deliver_icmp t (h : Ipv4.header) data =
       trace_deliver t h ~len:(Bytes.length data);
       List.iter (fun f -> f ~from:h.Ipv4.src msg) t.error_handlers
 
+(* Hand a complete datagram to ICMP or its protocol's plain upcall. *)
+let deliver_data t (h : Ipv4.header) data =
+  account t h data;
+  match h.Ipv4.proto with
+  | Ipv4.Proto.Icmp -> deliver_icmp t h data
+  | p -> (
+      match upcall (Ipv4.Proto.to_int p) t.protos with
+      | f ->
+          t.c.delivered <- t.c.delivered + 1;
+          trace_deliver t h ~len:(Bytes.length data);
+          f h data
+      | exception Not_found ->
+          t.c.dropped_no_proto <- t.c.dropped_no_proto + 1;
+          trace_drop t ~src:h.Ipv4.src ~dst:h.Ipv4.dst Trace.Event.No_proto;
+          report_unreachable t h data Icmp.Protocol_unreachable)
+
 let deliver_local t (h : Ipv4.header) payload =
   match Reassembly.push t.reasm h payload with
   | Reassembly.Incomplete -> ()
-  | Reassembly.Complete data -> (
-      account t h data;
-      match h.Ipv4.proto with
-      | Ipv4.Proto.Icmp -> deliver_icmp t h data
-      | p -> (
-          match Hashtbl.find_opt t.protos (Ipv4.Proto.to_int p) with
-          | Some f ->
-              t.c.delivered <- t.c.delivered + 1;
-              trace_deliver t h ~len:(Bytes.length data);
-              f h data
-          | None ->
-              t.c.dropped_no_proto <- t.c.dropped_no_proto + 1;
-              trace_drop t ~src:h.Ipv4.src ~dst:h.Ipv4.dst
-                Trace.Event.No_proto;
-              report_unreachable t h data Icmp.Protocol_unreachable))
+  | Reassembly.Complete data -> deliver_data t h data
+
+(* Local delivery off a valid frame.  An unfragmented datagram skips
+   reassembly; a protocol with a frame handler gets the frame itself,
+   any other the [header] and payload copy its plain upcall takes. *)
+let deliver_frame t frame =
+  if Ipv4.peek_more_fragments frame || Ipv4.peek_frag_offset frame <> 0 then
+    (deliver_local t (Ipv4.peek_header frame) (Ipv4.payload_of frame)
+    [@fastpath.exempt])
+  else
+    match (upcall (Ipv4.peek_proto frame) t.frame_protos [@fastpath.exempt]) with
+    | f ->
+        t.c.delivered <- t.c.delivered + 1;
+        (match t.accounting with
+        | None -> ()
+        | Some acc -> Accounting.record_fast acc ~frame);
+        (* The one allocation of this road: the header upcalls take. *)
+        let h = (Ipv4.peek_header frame [@fastpath.exempt]) in
+        trace_deliver t h ~len:(Bytes.length frame - Ipv4.header_size);
+        f h frame ~pos:Ipv4.header_size
+    | exception Not_found ->
+        (deliver_data t (Ipv4.peek_header frame) (Ipv4.payload_of frame)
+        [@fastpath.exempt])
+[@@fastpath]
 
 (* Forwarding ----------------------------------------------------------- *)
 
@@ -382,13 +436,15 @@ let forward t (h : Ipv4.header) payload =
 
 (* Fast transit: patch TTL and checksum in the received frame (RFC 1624)
    and retransmit the very same bytes — two bytes mutated, no payload copy,
-   no re-encode.  Anything off the happy path (TTL expiry, no route, frame
-   larger than the next link's MTU, i.e. fragmentation or a DF drop) bails
-   out to the slow path, which handles every edge already. *)
-let forward_fast t (h : Ipv4.header) frame =
-  match lookup_route t h.Ipv4.dst with
+   no re-encode, every field read in place.  Anything off the happy path
+   (TTL expiry, no route, frame larger than the next link's MTU, i.e.
+   fragmentation or a DF drop) bails out to the slow path, which handles
+   every edge already. *)
+let forward_fast t frame =
+  let dst = Ipv4.peek_dst frame in
+  match lookup_route t dst with
   | Some route
-    when h.Ipv4.ttl > 1
+    when Ipv4.peek_ttl frame > 1
          && Bytes.length frame
             <= Netsim.iface_mtu t.net t.node route.Route_table.iface ->
       Ipv4.patch_ttl frame;
@@ -396,123 +452,72 @@ let forward_fast t (h : Ipv4.header) frame =
       if Trace.want Trace.Cls.ip then
         Trace.emit
           (Trace.Event.Ip_forward
-             { node = t.node; src = h.Ipv4.src; dst = h.Ipv4.dst;
-               ttl = h.Ipv4.ttl - 1; len = Bytes.length frame });
+             { node = t.node; src = Ipv4.peek_src frame; dst;
+               ttl = Ipv4.peek_ttl frame; len = Bytes.length frame });
       (* Sketch-mode accounting updates flat counters in place, so
          goal 7 no longer costs a payload copy or a slow-path bail. *)
       (match t.accounting with
       | None -> ()
-      | Some acc -> Accounting.record_fast acc h ~frame);
+      | Some acc -> Accounting.record_fast acc ~frame);
       transmit t route.Route_table.iface
-        ~priority:(h.Ipv4.tos = Ipv4.Tos.Low_delay)
+        ~priority:(Ipv4.peek_tos frame = Ipv4.Tos.Low_delay)
         frame
   | Some _ | None ->
       (* Bail to the slow path, which owns every edge case. *)
-      (forward t h (Ipv4.payload_of frame) [@fastpath.exempt])
+      (forward t (Ipv4.peek_header frame) (Ipv4.payload_of frame)
+      [@fastpath.exempt])
 [@@fastpath]
+
+(* The legacy road, kept as E13's baseline and test_ip's oracle: decode
+   (copying the payload), then deliver or forward by decode/re-encode. *)
+let receive_slow t frame =
+  match Ipv4.decode frame with
+  | Error _ ->
+      t.c.dropped_malformed <- t.c.dropped_malformed + 1;
+      trace_drop t ~src:Addr.any ~dst:Addr.any Trace.Event.Malformed
+  | Ok (h, payload) ->
+      t.c.received <- t.c.received + 1;
+      if has_addr t h.Ipv4.dst then deliver_local t h payload
+      else if t.fwd then forward t h payload
+      else begin
+        t.c.dropped_not_forwarding <- t.c.dropped_not_forwarding + 1;
+        trace_drop t ~src:h.Ipv4.src ~dst:h.Ipv4.dst
+          Trace.Event.Not_forwarding
+      end
 
 let receive t ~iface:_ frame =
   (match t.tap with Some f -> f ~rx:true frame | None -> ());
-  if t.fast then begin
-    match Ipv4.peek frame with
-    | Error _ ->
-        t.c.dropped_malformed <- t.c.dropped_malformed + 1;
-        trace_drop t ~src:Addr.any ~dst:Addr.any Trace.Event.Malformed
-    | Ok h ->
-        t.c.received <- t.c.received + 1;
-        if has_addr t h.Ipv4.dst then begin
-          (* Hand complete datagrams to a frame handler in place; only
-             delivery roads a frame handler cannot take (fragments, plain
-             handlers) materialize the payload. *)
-          let frame_handler =
-            if h.Ipv4.frag_offset = 0 && not h.Ipv4.more_fragments then
-              Hashtbl.find_opt t.frame_protos (Ipv4.Proto.to_int h.Ipv4.proto)
-            else None
-          in
-          match frame_handler with
-          | Some f ->
-              t.c.delivered <- t.c.delivered + 1;
-              (match t.accounting with
-              | None -> ()
-              | Some acc -> Accounting.record_fast acc h ~frame);
-              trace_deliver t h
-                ~len:(Bytes.length frame - Ipv4.header_size);
-              f h frame ~pos:Ipv4.header_size
-          | None -> deliver_local t h (Ipv4.payload_of frame)
-        end
-        else if t.fwd then forward_fast t h frame
-        else begin
-          t.c.dropped_not_forwarding <- t.c.dropped_not_forwarding + 1;
-          trace_drop t ~src:h.Ipv4.src ~dst:h.Ipv4.dst
-            Trace.Event.Not_forwarding
-        end
+  if not t.fast then (receive_slow t frame [@fastpath.exempt])
+  else if not (Ipv4.valid frame) then begin
+    t.c.dropped_malformed <- t.c.dropped_malformed + 1;
+    trace_drop t ~src:Addr.any ~dst:Addr.any Trace.Event.Malformed
   end
-  else
-    match Ipv4.decode frame with
-    | Error _ ->
-        t.c.dropped_malformed <- t.c.dropped_malformed + 1;
-        trace_drop t ~src:Addr.any ~dst:Addr.any Trace.Event.Malformed
-    | Ok (h, payload) ->
-        t.c.received <- t.c.received + 1;
-        if has_addr t h.Ipv4.dst then deliver_local t h payload
-        else if t.fwd then forward t h payload
-        else begin
-          t.c.dropped_not_forwarding <- t.c.dropped_not_forwarding + 1;
-          trace_drop t ~src:h.Ipv4.src ~dst:h.Ipv4.dst
-            Trace.Event.Not_forwarding
-        end
+  else begin
+    t.c.received <- t.c.received + 1;
+    if has_addr t (Ipv4.peek_dst frame) then deliver_frame t frame
+    else if t.fwd then forward_fast t frame
+    else begin
+      t.c.dropped_not_forwarding <- t.c.dropped_not_forwarding + 1;
+      trace_drop t ~src:(Ipv4.peek_src frame) ~dst:(Ipv4.peek_dst frame)
+        Trace.Event.Not_forwarding
+    end
+  end
+[@@fastpath]
 
 (* Origination ---------------------------------------------------------- *)
 
-let send t ?(tos = Ipv4.Tos.Routine) ?(ttl = 64) ?(dont_fragment = false)
-    ?src ~proto ~dst payload =
-  if has_addr t dst then begin
-    (* Loopback: deliver through the engine so ordering matches the wire. *)
-    let src = match src with Some s -> s | None -> primary_addr t in
-    let h =
-      Ipv4.make_header ~tos ~id:(fresh_id t) ~dont_fragment ~ttl ~proto ~src
-        ~dst ()
-    in
-    t.c.sent <- t.c.sent + 1;
-    Engine.after t.eng 1 (fun () -> deliver_local t h payload);
-    Ok ()
-  end
-  else
-    match lookup_route t dst with
-    | None ->
-        t.c.dropped_no_route <- t.c.dropped_no_route + 1;
-        trace_drop t
-          ~src:(match src with Some s -> s | None -> Addr.any)
-          ~dst Trace.Event.No_route;
-        Error `No_route
-    | Some route ->
-        let src =
-          match src with
-          | Some s -> s
-          | None -> (
-              match iface_addr t route.Route_table.iface with
-              | Some a -> a
-              | None -> primary_addr t)
-        in
-        let h =
-          Ipv4.make_header ~tos ~id:(fresh_id t) ~dont_fragment ~ttl ~proto
-            ~src ~dst ()
-        in
-        t.c.sent <- t.c.sent + 1;
-        emit t route.Route_table.iface h payload
+let payload_of_frame frame =
+  Bytes.sub frame Ipv4.header_size (Bytes.length frame - Ipv4.header_size)
 
-(* Origination without the payload copy: the caller hands over a full
-   frame whose first [Ipv4.header_size] bytes are a reserved prefix and
-   whose transport segment is already in place after it.  On the common
-   road — routed out an interface, fits the MTU — the IP header is written
-   into the prefix and the very same buffer is transmitted.  Loopback and
-   fragmentation fall back to the [send]/[emit] machinery (both need a
-   materialized payload anyway).  Counters match [send] exactly. *)
+(* The caller hands over a full frame whose first [Ipv4.header_size]
+   bytes are a reserved prefix and whose transport segment is already in
+   place after it.  On the common road — routed out an interface, fits
+   the MTU — the IP header is written into the prefix field by field and
+   the very same buffer is transmitted: the frame is all a send
+   allocates.  Loopback and fragmentation fall back to the [emit]
+   machinery, which needs a materialized payload anyway. *)
 let send_frame t ?(tos = Ipv4.Tos.Routine) ?(ttl = 64) ?(dont_fragment = false)
     ?src ~proto ~dst frame =
-  let payload_of_frame () =
-    Bytes.sub frame Ipv4.header_size (Bytes.length frame - Ipv4.header_size)
-  in
   if has_addr t dst then begin
     (* Loopback: deliver through the engine so ordering matches the wire. *)
     let src = match src with Some s -> s | None -> primary_addr t in
@@ -521,7 +526,7 @@ let send_frame t ?(tos = Ipv4.Tos.Routine) ?(ttl = 64) ?(dont_fragment = false)
         ~dst ()
     in
     t.c.sent <- t.c.sent + 1;
-    let payload = payload_of_frame () in
+    let payload = payload_of_frame frame in
     Engine.after t.eng 1 (fun () -> deliver_local t h payload);
     Ok ()
   end
@@ -534,26 +539,30 @@ let send_frame t ?(tos = Ipv4.Tos.Routine) ?(ttl = 64) ?(dont_fragment = false)
           ~dst Trace.Event.No_route;
         Error `No_route
     | Some route ->
+        let iface = route.Route_table.iface in
         let src =
           match src with
           | Some s -> s
-          | None -> (
-              match iface_addr t route.Route_table.iface with
-              | Some a -> a
-              | None -> primary_addr t)
+          | None -> addr_of_iface iface (primary_addr t) t.iface_addrs
         in
-        let h =
-          Ipv4.make_header ~tos ~id:(fresh_id t) ~dont_fragment ~ttl ~proto
-            ~src ~dst ()
-        in
+        let id = fresh_id t in
         t.c.sent <- t.c.sent + 1;
-        let iface = route.Route_table.iface in
         if Bytes.length frame <= Netsim.iface_mtu t.net t.node iface then begin
-          Ipv4.encode_into h frame;
+          Ipv4.encode_fields frame ~tos ~id ~dont_fragment
+            ~more_fragments:false ~frag_offset:0 ~ttl ~proto ~src ~dst;
           transmit t iface ~priority:(tos = Ipv4.Tos.Low_delay) frame;
           Ok ()
         end
-        else emit t iface h (payload_of_frame ())
+        else
+          emit t iface
+            (Ipv4.make_header ~tos ~id ~dont_fragment ~ttl ~proto ~src ~dst ())
+            (payload_of_frame frame)
+
+let send t ?tos ?ttl ?dont_fragment ?src ~proto ~dst payload =
+  let len = Bytes.length payload in
+  let frame = Bytes.create (Ipv4.header_size + len) in
+  Bytes.blit payload 0 frame Ipv4.header_size len;
+  send_frame t ?tos ?ttl ?dont_fragment ?src ~proto ~dst frame
 
 let icmp_unreachable t h payload code = report_unreachable t h payload code
 
@@ -625,8 +634,8 @@ let create ?(forwarding = false) net node =
       cache_stamp = Array.make route_cache_capacity (-1);
       table = Route_table.create ();
       iface_addrs = [];
-      protos = Hashtbl.create 4;
-      frame_protos = Hashtbl.create 4;
+      protos = [];
+      frame_protos = [];
       error_handlers = [];
       echo_reply_handler = None;
       reasm = Reassembly.create ~node eng;

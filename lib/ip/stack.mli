@@ -61,18 +61,24 @@ val set_forwarding : t -> bool -> unit
 val forwarding : t -> bool
 
 val set_fast_path : t -> bool -> unit
-(** The fast path (default on) forwards transit datagrams by patching TTL
-    and checksum in the received frame (RFC 1624) and retransmitting the
-    same bytes, with routes served from a generation-checked lookup cache.
-    Switching it off restores the legacy decode/re-encode path with direct
-    table lookups — kept so E13 can measure one against the other. *)
+(** The fast path (default on) reads every header field in place,
+    forwards transit datagrams by patching TTL and checksum in the
+    received frame (RFC 1624) and retransmitting the same bytes, with
+    routes served from a generation-checked lookup cache.  Switching it
+    off restores the legacy decode/re-encode path with direct table
+    lookups.  It exists only as a differential oracle: test_ip checks the
+    two roads agree, and E13 measures one against the other. *)
 
 val fast_path : t -> bool
 
 val receive : t -> iface:Netsim.iface -> bytes -> unit
 (** Hand a raw frame to the stack, exactly as the netsim delivery handler
     does.  Exposed so tests and instrumentation can interpose on a node's
-    handler (e.g. to observe per-hop frames) and still feed the stack. *)
+    handler (e.g. to observe per-hop frames) and still feed the stack.
+    On the fast path, forwarding allocates nothing; local delivery of an
+    unfragmented datagram skips reassembly and allocates only the
+    {!Ipv4.header} its upcall takes (plus the payload copy for a plain
+    {!register_proto} upcall). *)
 
 val register_proto : t -> Ipv4.Proto.t -> (Ipv4.header -> bytes -> unit) -> unit
 (** Install the upcall for a transport protocol.  ICMP is handled
@@ -111,7 +117,9 @@ val send :
   (unit, send_error) result
 (** Originate a datagram.  The source address defaults to the outgoing
     interface's address.  Local destinations loop back through the engine
-    (asynchronously, like everything else). *)
+    (asynchronously, like everything else).  A routed datagram that fits
+    the MTU allocates exactly its frame: the header is written in front of
+    a copy of the payload, and that buffer is transmitted. *)
 
 val send_frame :
   t ->

@@ -116,8 +116,8 @@ let decode buf =
         }
   end
 
-let answer_addr t = Addr.of_int32 (Int32.of_int t.answer)
-let addr_bits a = Int32.to_int (Addr.to_int32 a) land 0xffffffff
+let answer_addr t = Addr.of_int t.answer
+let addr_bits = Addr.to_int
 
 let rcode_to_string = function
   | 0 -> "ok"

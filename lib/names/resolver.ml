@@ -217,7 +217,7 @@ let enqueue t ~qtype ~l0 ~l1 ~l2 waiter =
         if qtype = Wire.qtype_host then
           match Cache.find t.cache ~now_us:(Engine.now t.eng) (deleg_key l0)
           with
-          | Some (_, bits, _) -> Addr.of_int32 (Int32.of_int bits)
+          | Some (_, bits, _) -> Addr.of_int bits
           | None -> t.root
         else t.root
       in

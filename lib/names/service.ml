@@ -196,7 +196,7 @@ let probe_round t =
               t.stats.probes <- t.stats.probes + 1;
               ignore
                 (Udp.sendto sock ?src:t.src
-                   ~dst:(Addr.of_int32 (Int32.of_int r.r_bits))
+                   ~dst:(Addr.of_int r.r_bits)
                    ~dst_port:t.service_port payload
                   : (unit, Udp.send_error) result))
             arr)

@@ -111,7 +111,12 @@ val send : t -> node_id -> ?priority:bool -> iface:iface -> bytes -> bool
     the frame was dropped immediately (down, queue full, over MTU);
     random in-flight loss still reports [true].  [priority] frames (IP's
     low-delay ToS) are transmitted before queued ordinary frames — the
-    per-link half of the type-of-service story. *)
+    per-link half of the type-of-service story.
+
+    The frame itself is queued and later delivered, not a copy.  Once
+    the frame slab has grown to the peak number of frames queued or in
+    flight, neither this call nor the frame's transmission and delivery
+    events allocate anything. *)
 
 (** {1 Failure injection} *)
 

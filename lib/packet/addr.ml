@@ -1,13 +1,13 @@
-type t = int32
+type t = int
 
-let of_int32 v = v [@@fastpath]
-let to_int32 v = v [@@fastpath]
+let of_int v = v land 0xFFFFFFFF [@@fastpath]
+let to_int a = a [@@fastpath]
 
 let v a b c d =
   let ok x = x >= 0 && x <= 255 in
   if not (ok a && ok b && ok c && ok d) then
     invalid_arg "Addr.v: octet out of range";
-  Int32.of_int ((a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d)
+  (a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d
 
 let of_string_opt s =
   match String.split_on_char '.' s with
@@ -27,8 +27,7 @@ let of_string s =
   | Some a -> a
   | None -> invalid_arg (Printf.sprintf "Addr.of_string: %S" s)
 
-let to_string a =
-  let x = Int32.to_int a land 0xFFFFFFFF in
+let to_string x =
   Printf.sprintf "%d.%d.%d.%d"
     ((x lsr 24) land 0xff)
     ((x lsr 16) land 0xff)
@@ -37,27 +36,22 @@ let to_string a =
 
 let pp fmt a = Format.pp_print_string fmt (to_string a)
 
-(* Compare as unsigned 32-bit values. *)
-let compare a b =
-  Int32.unsigned_compare a b
+let compare = Int.compare
+let equal = Int.equal [@@fastpath]
 
-let equal a b = Int32.equal a b [@@fastpath]
+let any = 0
 
-let any = 0l
-
-let succ a = Int32.add a 1l
+let succ a = (a + 1) land 0xFFFFFFFF
 
 module Prefix = struct
   type nonrec addr = t
   type t = { network : addr; length : int }
 
-  let mask_of_length len =
-    if len = 0 then 0l
-    else Int32.shift_left (-1l) (32 - len)
+  let mask_of_length len = (0xFFFFFFFF lsl (32 - len)) land 0xFFFFFFFF
 
   let make a len =
     if len < 0 || len > 32 then invalid_arg "Prefix.make: bad length";
-    { network = Int32.logand a (mask_of_length len); length = len }
+    { network = a land mask_of_length len; length = len }
 
   let of_string s =
     match String.index_opt s '/' with
@@ -72,15 +66,14 @@ module Prefix = struct
   let network t = t.network
   let length t = t.length
 
-  let mem a t =
-    Int32.equal (Int32.logand a (mask_of_length t.length)) t.network
+  let mem a t = a land mask_of_length t.length = t.network
 
   let to_string t = Printf.sprintf "%s/%d" (to_string t.network) t.length
 
   let pp fmt t = Format.pp_print_string fmt (to_string t)
 
   let compare a b =
-    match Int32.unsigned_compare a.network b.network with
+    match Int.compare a.network b.network with
     | 0 -> Int.compare a.length b.length
     | c -> c
 

@@ -1,10 +1,15 @@
 (** IPv4 addresses and prefixes. *)
 
-type t
-(** An IPv4 address.  Total order and equality follow numeric value. *)
+type t = private int
+(** An IPv4 address: its 32 bits as an immediate [int] in
+    [\[0, 2{^32})], so an address costs nothing to read off the wire,
+    store or hash.  Total order and equality follow numeric value. *)
 
-val of_int32 : int32 -> t
-val to_int32 : t -> int32
+val of_int : int -> t
+(** The address with the low 32 bits of the argument. *)
+
+val to_int : t -> int
+(** The 32 address bits, in [\[0, 2{^32})]. *)
 
 val of_string : string -> t
 (** Dotted quad, e.g. ["10.1.2.3"].  @raise Invalid_argument on syntax

@@ -60,9 +60,7 @@ let valid ?(acc = zero) b ~pos ~len =
 (* Straight-line adds: the [Fun.flip] pipeline this replaces allocated a
    closure per field, which the fastpath rule (rightly) rejects. *)
 let pseudo_header ~src ~dst ~proto ~len =
-  let src_hi = Int32.to_int (Int32.shift_right_logical src 16) land 0xffff in
-  let src_lo = Int32.to_int src land 0xffff in
-  let dst_hi = Int32.to_int (Int32.shift_right_logical dst 16) land 0xffff in
-  let dst_lo = Int32.to_int dst land 0xffff in
-  src_hi + src_lo + dst_hi + dst_lo + (proto land 0xffff) + (len land 0xffff)
+  let src = Addr.to_int src and dst = Addr.to_int dst in
+  (src lsr 16) + (src land 0xffff) + (dst lsr 16) + (dst land 0xffff)
+  + (proto land 0xffff) + (len land 0xffff)
 [@@fastpath]

@@ -36,6 +36,6 @@ val valid : ?acc:acc -> bytes -> pos:int -> len:int -> bool
 (** A range that includes its own (correct) checksum field sums to 0xFFFF
     before complementing; [valid] checks exactly that. *)
 
-val pseudo_header : src:int32 -> dst:int32 -> proto:int -> len:int -> acc
+val pseudo_header : src:Addr.t -> dst:Addr.t -> proto:int -> len:int -> acc
 (** Accumulator pre-loaded with the TCP/UDP pseudo-header: source and
     destination address, protocol number, and transport-segment length. *)

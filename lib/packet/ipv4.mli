@@ -43,8 +43,8 @@ val header_size : int
 
 val layout : (string * int * int) list
 (** [(field, offset, width)] wire contract, machine-checked by
-    catenet-lint against the byte accesses in {!encode}, {!encode_into},
-    {!peek} and {!patch_ttl}. *)
+    catenet-lint against the byte accesses in {!encode_fields}, the
+    [peek] readers and {!patch_ttl}. *)
 
 val max_datagram : int
 (** 65535, the total-length field bound. *)
@@ -84,15 +84,56 @@ val encode_into : header -> bytes -> unit
     {!encode}.
     @raise Invalid_argument as {!encode}. *)
 
+val encode_fields :
+  bytes ->
+  tos:Tos.t ->
+  id:int ->
+  dont_fragment:bool ->
+  more_fragments:bool ->
+  frag_offset:int ->
+  ttl:int ->
+  proto:Proto.t ->
+  src:Addr.t ->
+  dst:Addr.t ->
+  unit
+(** {!encode_into} with the header given field by field, so an origin
+    writes its header into its one frame without building a {!header}:
+    nothing is allocated.  @raise Invalid_argument as {!encode}. *)
+
 val decode : bytes -> (header * bytes, error) result
 (** Parse and validate (version, IHL, checksum, total length).  Returns the
     header and a copy of the payload. *)
 
 val peek : bytes -> (header, error) result
 (** Like {!decode} — same validation, byte for byte — but reads only the
-    header and never touches the payload.  This is the gateway fast path's
-    entry point: a transit datagram's payload is dead weight to a forwarder,
-    so it is never copied out of the frame. *)
+    header and never touches the payload. *)
+
+(** {1 Reading in place}
+
+    The gateway and delivery fast paths never build a {!header}: they
+    check a frame with {!valid} and then read the fields they need by
+    offset, as etherparse's [Ipv4HeaderSlice] does.  A transit
+    datagram's payload is dead weight to a forwarder, so it is never
+    copied out of the frame.  The readers below assume a frame that
+    {!valid} accepted; on anything else they read garbage or raise. *)
+
+val valid : bytes -> bool
+(** [true] exactly when {!peek} would return [Ok]; allocates nothing. *)
+
+val peek_header : bytes -> header
+(** The header of a valid frame, as {!peek} returns it. *)
+
+val peek_tos : bytes -> Tos.t
+val peek_id : bytes -> int
+val peek_frag_offset : bytes -> int
+val peek_more_fragments : bytes -> bool
+val peek_ttl : bytes -> int
+
+val peek_proto : bytes -> int
+(** The raw protocol number ({!Proto.to_int} of the header's). *)
+
+val peek_src : bytes -> Addr.t
+val peek_dst : bytes -> Addr.t
 
 val payload_of : bytes -> bytes
 (** Copy the payload out of a frame already validated by {!peek} (uses the

@@ -257,8 +257,7 @@ let encode ~src ~dst t =
   W.bytes w t.payload;
   let buf = W.contents w in
   let acc =
-    Checksum.pseudo_header ~src:(Addr.to_int32 src) ~dst:(Addr.to_int32 dst)
-      ~proto:6 ~len:total
+    Checksum.pseudo_header ~src ~dst ~proto:6 ~len:total
   in
   let csum = Checksum.of_bytes ~acc buf ~pos:0 ~len:total in
   Bytes.set_uint16_be buf 16 csum;
@@ -338,8 +337,7 @@ let encode_into ~src ~dst ~src_port ~dst_port ~seq ~ack_n ~flags ~window
           Bytes.set_int32_be buf (pos + 28 + (8 * i)) (Int32.of_int r))
         bs);
   let acc =
-    Checksum.pseudo_header ~src:(Addr.to_int32 src) ~dst:(Addr.to_int32 dst)
-      ~proto:6 ~len:total
+    Checksum.pseudo_header ~src ~dst ~proto:6 ~len:total
   in
   let csum = Checksum.of_bytes ~acc buf ~pos ~len:total in
   Bytes.set_uint16_be buf (pos + 16) csum;
@@ -426,8 +424,7 @@ let peek ~src ~dst ?(pos = 0) buf =
       Error (`Bad_header "bad data offset")
     else begin
       let acc =
-        Checksum.pseudo_header ~src:(Addr.to_int32 src)
-          ~dst:(Addr.to_int32 dst) ~proto:6 ~len
+        Checksum.pseudo_header ~src ~dst ~proto:6 ~len
       in
       if not (Checksum.valid ~acc buf ~pos ~len) then Error `Bad_checksum
       else Ok data_offset

@@ -28,8 +28,7 @@ let encode ~src ~dst t =
   W.bytes w t.payload;
   let buf = W.contents w in
   let acc =
-    Checksum.pseudo_header ~src:(Addr.to_int32 src) ~dst:(Addr.to_int32 dst)
-      ~proto:17 ~len:total
+    Checksum.pseudo_header ~src ~dst ~proto:17 ~len:total
   in
   let csum = Checksum.of_bytes ~acc buf ~pos:0 ~len:total in
   (* RFC 768: a computed checksum of zero is transmitted as all ones. *)
@@ -51,8 +50,7 @@ let encode_into ~src ~dst ~src_port ~dst_port ~payload_len buf ~pos =
   Bytes.set_uint16_be buf (pos + 4) total;
   Bytes.set_uint16_be buf (pos + 6) 0 (* checksum placeholder *);
   let acc =
-    Checksum.pseudo_header ~src:(Addr.to_int32 src) ~dst:(Addr.to_int32 dst)
-      ~proto:17 ~len:total
+    Checksum.pseudo_header ~src ~dst ~proto:17 ~len:total
   in
   let csum = Checksum.of_bytes ~acc buf ~pos ~len:total in
   (* RFC 768: a computed checksum of zero is transmitted as all ones. *)
@@ -67,8 +65,7 @@ let decode ~src ~dst buf =
     if declared < header_size || declared > len then Error `Truncated
     else begin
       let acc =
-        Checksum.pseudo_header ~src:(Addr.to_int32 src)
-          ~dst:(Addr.to_int32 dst) ~proto:17 ~len:declared
+        Checksum.pseudo_header ~src ~dst ~proto:17 ~len:declared
       in
       if not (Checksum.valid ~acc buf ~pos:0 ~len:declared) then
         Error `Bad_checksum

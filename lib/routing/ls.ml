@@ -57,7 +57,7 @@ type t = {
 
 let stats t = t.stats
 let lsdb_size t = Hashtbl.length t.lsdb
-let router_id t = Addr.of_int32 t.id
+let router_id t = Addr.of_int (Int32.to_int t.id)
 
 let create ?(config = default_config) udp =
   let ip = Udp.stack udp in
@@ -66,7 +66,7 @@ let create ?(config = default_config) udp =
     ip;
     eng = Ip.Stack.engine ip;
     config;
-    id = Addr.to_int32 (Ip.Stack.primary_addr ip);
+    id = Int32.of_int (Addr.to_int (Ip.Stack.primary_addr ip));
     adjacencies = [];
     lsdb = Hashtbl.create 32;
     seq = 0;
@@ -358,7 +358,7 @@ let hello_tick t =
 
 let reachable t addr =
   let dist, _ = spf t in
-  Hashtbl.mem dist (Addr.to_int32 addr)
+  Hashtbl.mem dist (Int32.of_int (Addr.to_int addr))
 
 let set_external_prefixes t externals =
   if externals <> t.externals then begin

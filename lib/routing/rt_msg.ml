@@ -21,11 +21,11 @@ type t = Dv_update of dv_entry list | Hello of int32 | Lsa of lsa
 type error = [ `Truncated | `Bad_header of string ]
 
 let write_prefix w p =
-  W.u32 w (Addr.to_int32 (Addr.Prefix.network p));
+  W.u32_of_int w (Addr.to_int (Addr.Prefix.network p));
   W.u8 w (Addr.Prefix.length p)
 
 let read_prefix r =
-  let network = Addr.of_int32 (R.u32 r) in
+  let network = Addr.of_int (R.u32_to_int r) in
   let len = R.u8 r in
   if len > 32 then invalid_arg "bad prefix length";
   Addr.Prefix.make network len
@@ -113,8 +113,8 @@ let pp fmt = function
            (fun f (e : dv_entry) ->
              Format.fprintf f "%a=%d" Addr.Prefix.pp e.prefix e.metric))
         entries
-  | Hello id -> Format.fprintf fmt "hello %a" Addr.pp (Addr.of_int32 id)
+  | Hello id -> Format.fprintf fmt "hello %a" Addr.pp (Addr.of_int (Int32.to_int id))
   | Lsa l ->
       Format.fprintf fmt "lsa origin=%a seq=%d n=%d p=%d" Addr.pp
-        (Addr.of_int32 l.origin) l.seq (List.length l.neighbors)
+        (Addr.of_int (Int32.to_int l.origin)) l.seq (List.length l.neighbors)
         (List.length l.prefixes)

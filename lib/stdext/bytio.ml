@@ -37,7 +37,10 @@ module W = struct
     if p < 0 || p > Bytes.length t.buf then raise Truncated;
     t.pos <- p
 
-  let contents t = Bytes.sub t.buf 0 t.pos
+  (* A writer sized to its output is the common case (every encoder
+     does it): hand over the buffer itself instead of copying it. *)
+  let contents t =
+    if t.pos = Bytes.length t.buf then t.buf else Bytes.sub t.buf 0 t.pos
 end
 
 module R = struct

@@ -38,7 +38,8 @@ module W : sig
   (** Reposition the cursor (for checksum backpatching). *)
 
   val contents : t -> bytes
-  (** Copy of the written prefix. *)
+  (** The written prefix: the buffer itself once it is exactly full, a
+      fresh copy otherwise.  Read it once, after the last write. *)
 end
 
 (** {1 Reader} *)

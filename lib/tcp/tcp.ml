@@ -150,7 +150,7 @@ type stats = {
   mutable dropped_acks_invalid : int;
 }
 
-type key = int32 * int * int32 * int
+type key = Addr.t * int * Addr.t * int
 
 type t = {
   ip : Ip.Stack.t;
@@ -327,10 +327,7 @@ let effective_cwnd c =
 [@@fastpath]
 
 let key_of c : key =
-  ( Addr.to_int32 c.local_addr,
-    c.local_port,
-    Addr.to_int32 c.remote_addr,
-    c.remote_port )
+  (c.local_addr, c.local_port, c.remote_addr, c.remote_port)
 
 (* Timer plumbing ------------------------------------------------------- *)
 
@@ -1463,10 +1460,7 @@ let try_fast c buf ~pos =
    and orphan RSTs. *)
 let dispatch_segment t (ip : Ipv4.header) (seg : Wire.t) =
   let key : key =
-    ( Addr.to_int32 ip.Ipv4.dst,
-      seg.Wire.dst_port,
-      Addr.to_int32 ip.Ipv4.src,
-      seg.Wire.src_port )
+    (ip.Ipv4.dst, seg.Wire.dst_port, ip.Ipv4.src, seg.Wire.src_port)
   in
   match Hashtbl.find_opt t.conns key with
   | Some c -> (
@@ -1507,9 +1501,9 @@ let handle_at t (ip : Ipv4.header) buf ~pos =
               bits = 0x10 || bits = 0x18)
           &&
           let key : key =
-            ( Addr.to_int32 ip.Ipv4.dst,
+            ( ip.Ipv4.dst,
               Wire.peek_dst_port ~pos buf,
-              Addr.to_int32 ip.Ipv4.src,
+              ip.Ipv4.src,
               Wire.peek_src_port ~pos buf )
           in
           match Hashtbl.find_opt t.conns key with
@@ -1538,8 +1532,8 @@ let handle_icmp_error t (msg : Packet.Icmp_wire.t) =
       if Bytes.length original >= Ipv4.header_size + 4 then
         match Ipv4.Proto.of_int (Bytes.get_uint8 original 9) with
         | Ipv4.Proto.Tcp -> (
-            let src = Bytes.get_int32_be original 12 in
-            let dst = Bytes.get_int32_be original 16 in
+            let src = Ipv4.peek_src original in
+            let dst = Ipv4.peek_dst original in
             let sport = Bytes.get_uint16_be original Ipv4.header_size in
             let dport = Bytes.get_uint16_be original (Ipv4.header_size + 2) in
             let key : key = (src, sport, dst, dport) in

@@ -70,8 +70,8 @@ let golden_ledger =
 let record_one t (s, d, sp, dp, len) =
   let h =
     Ipv4.make_header ~proto:Ipv4.Proto.Udp
-      ~src:(Addr.of_int32 (Int32.of_int s))
-      ~dst:(Addr.of_int32 (Int32.of_int d))
+      ~src:(Addr.of_int s)
+      ~dst:(Addr.of_int d)
       ()
   in
   let payload = Bytes.make len '\000' in

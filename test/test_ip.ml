@@ -358,6 +358,63 @@ let test_transit_frame_identity () =
       check Alcotest.bool "hop ttl in 64..62" true (ttl <= 64 && ttl >= 62))
     !seen_ttls
 
+(* Disabled tracing costs a datagram nothing, and forwarding costs it
+   nothing more: on a warmed a — g1 — g2 — b chain, every event after
+   the origin send (three transmissions done, three deliveries, two
+   gateway receives with their route lookups and transmits) allocates 0
+   words, and [Ip.Stack.send] allocates exactly its frame.  b's handler
+   only counts, so host delivery is not measured. *)
+let test_datagram_path_allocates_nothing () =
+  let eng = Engine.create () in
+  let net = Netsim.create ~seed:3 eng in
+  let na = Netsim.add_node net "a" in
+  let n1 = Netsim.add_node net "g1" in
+  let n2 = Netsim.add_node net "g2" in
+  let nb = Netsim.add_node net "b" in
+  ignore (Netsim.add_link net (Netsim.profile "l1") na n1);
+  ignore (Netsim.add_link net (Netsim.profile "l2") n1 n2);
+  ignore (Netsim.add_link net (Netsim.profile "l3") n2 nb);
+  let a = Ip.Stack.create net na in
+  let g1 = Ip.Stack.create ~forwarding:true net n1 in
+  let g2 = Ip.Stack.create ~forwarding:true net n2 in
+  Ip.Stack.configure_iface a 0 ~addr:(Addr.v 10 0 1 1) ~prefix_len:24;
+  Ip.Stack.configure_iface g1 0 ~addr:(Addr.v 10 0 1 2) ~prefix_len:24;
+  Ip.Stack.configure_iface g1 1 ~addr:(Addr.v 10 0 2 1) ~prefix_len:24;
+  Ip.Stack.configure_iface g2 0 ~addr:(Addr.v 10 0 2 2) ~prefix_len:24;
+  Ip.Stack.configure_iface g2 1 ~addr:(Addr.v 10 0 3 1) ~prefix_len:24;
+  Ip.Route_table.add (Ip.Stack.table a)
+    { Ip.Route_table.prefix = Prefix.default; iface = 0;
+      next_hop = Some (Addr.v 10 0 1 2); metric = 1 };
+  Ip.Route_table.add (Ip.Stack.table g1)
+    { Ip.Route_table.prefix = Prefix.of_string "10.0.3.0/24"; iface = 1;
+      next_hop = Some (Addr.v 10 0 2 2); metric = 1 };
+  let delivered = ref 0 in
+  Netsim.set_handler net nb (fun ~iface:_ _ -> incr delivered);
+  let payload = Bytes.make 64 'z' in
+  let dst = Addr.v 10 0 3 2 and proto = Ipv4.Proto.Other 99 in
+  let send () =
+    match Ip.Stack.send a ~proto ~dst payload with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "send failed"
+  in
+  (* Warm-up: grows netsim's frame slab, fills the route caches. *)
+  for _ = 1 to 4 do send () done;
+  Engine.run eng;
+  (* A [bytes] of n bytes is n / 8 + 1 words plus its header. *)
+  let frame_words = ((Ipv4.header_size + Bytes.length payload) / 8) + 2 in
+  for _ = 1 to 8 do
+    let w0 = Gc.minor_words () in
+    send ();
+    let w1 = Gc.minor_words () in
+    while Engine.step eng do () done;
+    let w2 = Gc.minor_words () in
+    check Alcotest.int "send: the frame" frame_words
+      (int_of_float (w1 -. w0));
+    check Alcotest.int "forwarding" 0 (int_of_float (w2 -. w1))
+  done;
+  check Alcotest.int "all delivered" 12 !delivered;
+  check Alcotest.int "g2 forwarded" 12 (Ip.Stack.counters g2).forwarded
+
 let test_route_cache_sees_table_changes () =
   (* Populate the gateway's route cache, then yank the route: the next
      datagram must get net-unreachable, not a stale cached forward. *)
@@ -669,6 +726,8 @@ let () =
         [
           Alcotest.test_case "transit frame identity" `Quick
             test_transit_frame_identity;
+          Alcotest.test_case "datagram path allocates nothing" `Quick
+            test_datagram_path_allocates_nothing;
           Alcotest.test_case "route cache invalidation" `Quick
             test_route_cache_sees_table_changes;
           Alcotest.test_case "route cache bounded" `Quick

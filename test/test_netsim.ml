@@ -290,6 +290,59 @@ let test_jitter_reorders () =
   check Alcotest.bool "no jitter: in order" true (sorted (arrival_order 0));
   check Alcotest.bool "jitter: reordered" false (sorted (arrival_order 5_000))
 
+(* A link flap with work in every stage: at the cut, frames a1 and a2
+   (a->b) are propagating, a3 is mid-transmission, a4 is queued, and b1
+   (b->a) is mid-transmission.  The link comes back up before a3's
+   orphaned transmission was due to end, and a fresh frame e is sent
+   whose transmission ends at that very instant: only e and the later
+   f may arrive, e exactly once.  Returns the (time, frame) delivery log
+   and the link's counters. *)
+let flap_log ~jitter_us =
+  let profile =
+    Netsim.profile "flap" ~bandwidth_bps:1_000_000 ~delay_us:5_000 ~jitter_us
+  in
+  let eng, net, a, b, l = pair ~profile () in
+  let log = ref [] in
+  let record ~iface:_ frame =
+    log := (Engine.now eng, Bytes.to_string frame) :: !log
+  in
+  Netsim.set_handler net a record;
+  Netsim.set_handler net b record;
+  let send_at at node frame =
+    Engine.schedule eng ~at (fun () ->
+        ignore (Netsim.send net node ~iface:0 (Bytes.of_string frame)))
+  in
+  (* 100 B at 1 Mb/s is 800 us on the wire: a1 0-800, a2 800-1600,
+     a3 1600-2400, a4 queued; b1 1500-2300. *)
+  List.iter
+    (fun f -> send_at 0 a (f ^ String.make 98 '.'))
+    [ "a1"; "a2"; "a3"; "a4" ];
+  send_at 1_500 b ("b1" ^ String.make 98 '.');
+  Engine.schedule eng ~at:2_000 (fun () -> Netsim.set_link_up net l false);
+  send_at 2_100 a "down";
+  Engine.schedule eng ~at:2_200 (fun () -> Netsim.set_link_up net l true);
+  (* 25 B is 200 us: e's transmission ends at 2400, with a3's orphan. *)
+  send_at 2_200 a ("e" ^ String.make 24 '.');
+  send_at 10_000 a ("f" ^ String.make 99 '.');
+  Engine.run eng;
+  let q = Netsim.queue_length net l in
+  let s = Netsim.link_stats net l in
+  ( List.rev_map (fun (t, f) -> (t, String.sub f 0 (String.index f '.'))) !log,
+    [ s.Netsim.tx_frames; s.Netsim.tx_bytes; s.Netsim.delivered_frames;
+      s.Netsim.drops_queue; s.Netsim.drops_loss; s.Netsim.drops_down;
+      s.Netsim.drops_mtu; q ] )
+
+let test_link_flap_log () =
+  let deliveries = Alcotest.(list (pair int string)) in
+  let counters = Alcotest.(list int) in
+  let log, stats = flap_log ~jitter_us:0 in
+  check deliveries "delivery log" [ (7_400, "e"); (15_800, "f") ] log;
+  (* tx a1 a2 e f = 325 B; delivered e f; one send while down. *)
+  check counters "counters" [ 4; 325; 2; 0; 0; 1; 0; 0 ] stats;
+  let log, stats = flap_log ~jitter_us:3_000 in
+  check deliveries "jitter delivery log" [ (7_663, "e"); (17_743, "f") ] log;
+  check counters "jitter counters" [ 4; 325; 2; 0; 0; 1; 0; 0 ] stats
+
 let () =
   Alcotest.run "netsim"
     [
@@ -313,6 +366,7 @@ let () =
         [
           Alcotest.test_case "link down" `Quick test_link_down_drops;
           Alcotest.test_case "in-flight killed" `Quick test_link_down_kills_in_flight;
+          Alcotest.test_case "flap delivery log" `Quick test_link_flap_log;
           Alcotest.test_case "node down rx" `Quick test_node_down;
           Alcotest.test_case "node down tx" `Quick test_down_sender;
         ] );

@@ -122,7 +122,7 @@ let test_prefix_normalizes_host_bits () =
 let arb_addr =
   QCheck.make
     ~print:(fun a -> Addr.to_string a)
-    QCheck.Gen.(map (fun i -> Addr.of_int32 (Int32.of_int i)) (0 -- 0xFFFFFF))
+    QCheck.Gen.(map (fun i -> Addr.of_int i) (0 -- 0xFFFFFF))
 
 let prop_addr_string_roundtrip =
   QCheck.Test.make ~name:"addr to_string/of_string roundtrip" ~count:300
@@ -133,12 +133,8 @@ let prop_prefix_mem_matches_mask =
     QCheck.(triple arb_addr arb_addr (int_bound 32))
     (fun (a, b, len) ->
       let p = Prefix.make a len in
-      let mask = if len = 0 then 0l else Int32.shift_left (-1l) (32 - len) in
-      let expected =
-        Int32.equal
-          (Int32.logand (Addr.to_int32 b) mask)
-          (Int32.logand (Addr.to_int32 a) mask)
-      in
+      let mask = if len = 0 then 0 else (0xFFFFFFFF lsl (32 - len)) land 0xFFFFFFFF in
+      let expected = Addr.to_int b land mask = Addr.to_int a land mask in
       Prefix.mem b p = expected)
 
 (* --- IPv4 ---------------------------------------------------------------- *)

@@ -76,7 +76,7 @@ let addr_of_seed seed =
   let bases = [| 0x0A000000; 0x0A000100; 0x0AC0FF00; 0xAC100000; 0xC0A80000 |] in
   let base = bases.(abs seed mod Array.length bases) in
   let low = (seed * 2654435761) land 0xFFFF in
-  Addr.of_int32 (Int32.of_int ((base lor low) land 0xFFFFFFFF))
+  Addr.of_int ((base lor low) land 0xFFFFFFFF)
 
 let prefix_of (seed, len) = Prefix.make (addr_of_seed seed) len
 
@@ -140,8 +140,8 @@ let probes =
   List.concat_map
     (fun s ->
       let a = addr_of_seed s in
-      let x = Int32.to_int (Addr.to_int32 a) land 0xFFFFFFFF in
-      let mk v = Addr.of_int32 (Int32.of_int (v land 0xFFFFFFFF)) in
+      let x = Addr.to_int a in
+      let mk v = Addr.of_int (v land 0xFFFFFFFF) in
       [ a; mk (x lxor 1); mk (x + 256); mk (x lxor 0x00010000) ])
     (List.init 40 (fun i -> i * 17))
 

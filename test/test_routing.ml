@@ -62,7 +62,7 @@ let prop_dv_roundtrip =
         List.map
           (fun (net, metric) ->
             {
-              Rt_msg.prefix = Prefix.make (Addr.of_int32 (Int32.of_int (net * 256))) 24;
+              Rt_msg.prefix = Prefix.make (Addr.of_int (net * 256)) 24;
               metric;
             })
           raw

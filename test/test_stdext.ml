@@ -76,6 +76,45 @@ let test_rng_shuffle_permutation () =
   check (Alcotest.array Alcotest.int) "is a permutation"
     (Array.init 50 Fun.id) sorted
 
+(* Literal streams, so a change of representation that altered every
+   generator alike (and would pass the comparisons above) still fails:
+   every run digest in the repo rests on these draws. *)
+let test_rng_pinned_streams () =
+  let r = Stdext.Rng.create 42 in
+  List.iter
+    (fun v -> check Alcotest.int64 "create 42" v (Stdext.Rng.bits64 r))
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L;
+      6349198060258255764L ];
+  let parent = Stdext.Rng.create 42 in
+  let child = Stdext.Rng.split parent in
+  List.iter
+    (fun v -> check Alcotest.int64 "split child" v (Stdext.Rng.bits64 child))
+    [ -4204815582636234286L; 7040222520599051659L; -5426180739752472406L ];
+  check Alcotest.int64 "parent after split" 2949826092126892291L
+    (Stdext.Rng.bits64 parent);
+  let r = Stdext.Rng.create 7 in
+  check (Alcotest.list Alcotest.int) "int 1000" [ 621; 951; 336; 50; 918; 76 ]
+    (List.init 6 (fun _ -> Stdext.Rng.int r 1000));
+  let r = Stdext.Rng.create 5 in
+  check (Alcotest.list (Alcotest.float 0.0)) "float 1.0"
+    [ 0x1.8c0cec328e27p-2; 0x1.812e629b272e6p-1; 0x1.dc969f80835ep-3 ]
+    (List.init 3 (fun _ -> Stdext.Rng.float r 1.0));
+  let r = Stdext.Rng.create 11 in
+  check Alcotest.string "bool 0.5" "1100101010110001"
+    (String.init 16 (fun _ -> if Stdext.Rng.bool r 0.5 then '1' else '0'))
+
+let test_rng_draws_allocate_nothing () =
+  let r = Stdext.Rng.create 3 in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    if Stdext.Rng.bool r 0.5 then incr hits;
+    hits := !hits + Stdext.Rng.int r 3
+  done;
+  let words = Gc.minor_words () -. before in
+  check (Alcotest.float 0.0) "words per 2000 draws" 0.0 words;
+  check Alcotest.bool "drew" true (!hits > 0)
+
 (* --- Heap --------------------------------------------------------------- *)
 
 let test_heap_ordering () =
@@ -233,6 +272,20 @@ let test_bytio_sub_reader () =
   check Alcotest.int "c" (Char.code 'c') (R.u8 r);
   check Alcotest.int "remaining" 2 (R.remaining r)
 
+let test_bytio_contents_exact () =
+  let module W = Stdext.Bytio.W in
+  let w = W.create 4 in
+  W.u16 w 0xABCD;
+  let prefix = W.contents w in
+  check Alcotest.string "prefix" "\xAB\xCD" (Bytes.to_string prefix);
+  W.u16 w 0x1234;
+  check Alcotest.string "prefix copy untouched" "\xAB\xCD"
+    (Bytes.to_string prefix);
+  let full = W.contents w in
+  check Alcotest.bool "full writer hands over its buffer" true
+    (full == W.contents w);
+  check Alcotest.string "bytes" "\xAB\xCD\x12\x34" (Bytes.to_string full)
+
 let prop_bytio_u32_roundtrip =
   QCheck.Test.make ~name:"u32 write/read roundtrip" ~count:500
     QCheck.(int_bound 0xFFFFFFF)
@@ -309,6 +362,9 @@ let () =
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutation;
+          Alcotest.test_case "pinned streams" `Quick test_rng_pinned_streams;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_rng_draws_allocate_nothing;
         ] );
       ( "heap",
         [
@@ -327,6 +383,8 @@ let () =
           Alcotest.test_case "overrun" `Quick test_bytio_overrun;
           Alcotest.test_case "seek backpatch" `Quick test_bytio_seek_backpatch;
           Alcotest.test_case "sub reader" `Quick test_bytio_sub_reader;
+          Alcotest.test_case "contents of a full writer" `Quick
+            test_bytio_contents_exact;
           qcheck prop_bytio_u32_roundtrip;
         ] );
       ( "stats",
