@@ -73,11 +73,7 @@ let run_transfer ~fast ~total =
     end
   in
   Tcp.on_established c pump;
-  let alloc0 = Gc.allocated_bytes () in
-  let wall0 = Unix.gettimeofday () in
-  Internet.run_until_idle t;
-  let wall = Unix.gettimeofday () -. wall0 in
-  let alloc = Gc.allocated_bytes () -. alloc0 in
+  let wall, words = Util.wall_and_words (fun () -> Internet.run_until_idle t) in
   if !received <> total then
     failwith (Printf.sprintf "E14: delivered %d of %d bytes" !received total);
   let st = Tcp.stats c in
@@ -88,7 +84,7 @@ let run_transfer ~fast ~total =
   let segments = st.Tcp.segs_out + st.Tcp.segs_in in
   {
     sps = float_of_int segments /. wall;
-    words_per_seg = alloc /. 8.0 /. float_of_int segments;
+    words_per_seg = words /. float_of_int segments;
   }
 
 (* Phase 2: timer churn.  Each connection writes a small burst every

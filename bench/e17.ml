@@ -66,11 +66,7 @@ let run_topo cfg ~datagrams =
     end
   in
   Engine.after eng 1 (fun () -> send_next 0);
-  let alloc0 = Gc.allocated_bytes () in
-  let wall0 = Unix.gettimeofday () in
-  Engine.run eng;
-  let wall = Unix.gettimeofday () -. wall0 in
-  let alloc = Gc.allocated_bytes () -. alloc0 in
+  let wall, words = Util.wall_and_words (fun () -> Engine.run eng) in
   if Hostpool.rx_total pool <> datagrams then
     failwith
       (Printf.sprintf "E17: delivered %d of %d datagrams"
@@ -80,7 +76,7 @@ let run_topo cfg ~datagrams =
       (Printf.sprintf "E17: %d frames went astray" (Hostpool.rx_stray pool));
   {
     dps = float_of_int datagrams /. wall;
-    words_per_pkt = alloc /. 8.0 /. float_of_int datagrams;
+    words_per_pkt = words /. float_of_int datagrams;
     hosts = nregions * nhosts;
     core_table_max = Topo.core_table_max t;
     route_total = Topo.route_entries_total t;

@@ -31,7 +31,8 @@ type t = {
   mutable rx_total : int;
   mutable rx_stray : int;
       (* frames reaching a pooled host that are not pool datagrams for
-         its address: wrong dst, wrong proto, malformed *)
+         its address: wrong dst, wrong proto, malformed, or UDP for the
+         sink that fails to decode *)
   mutable udp_sink :
     (int ->
     src:Addr.t ->
@@ -46,8 +47,13 @@ type t = {
          stay count-only. *)
 }
 
+let count_rx t slot =
+  Array.unsafe_set t.rx slot (Array.unsafe_get t.rx slot + 1);
+  t.rx_total <- t.rx_total + 1
+
 (* Everything is read in place from the frame: a datagram for a pooled
-   host costs no header, result or address box on its way in. *)
+   host costs no header, result or address box on its way in, and a UDP
+   datagram for the sink only its payload copy. *)
 let receive t ~node ~iface:_ frame =
   if node < Array.length t.slot_of_node then begin
     let slot = Array.unsafe_get t.slot_of_node node in
@@ -57,21 +63,19 @@ let receive t ~node ~iface:_ frame =
         (p = proto || p = 17 (* UDP: see [send_udp] *))
         && Addr.equal (Ipv4.peek_dst frame) (Array.unsafe_get t.addr slot)
       then begin
-        Array.unsafe_set t.rx slot (Array.unsafe_get t.rx slot + 1);
-        t.rx_total <- t.rx_total + 1;
         match t.udp_sink with
         | Some sink when p = 17 -> (
             let src = Ipv4.peek_src frame in
-            let plen = Bytes.length frame - Ipv4.header_size in
             match
-              Udp_wire.decode ~src ~dst:(Ipv4.peek_dst frame)
-                (Bytes.sub frame Ipv4.header_size plen)
+              Udp_wire.decode ~pos:Ipv4.header_size ~src
+                ~dst:(Ipv4.peek_dst frame) frame
             with
             | Ok d ->
+                count_rx t slot;
                 sink slot ~src ~src_port:d.Udp_wire.src_port
                   ~dst_port:d.Udp_wire.dst_port d.Udp_wire.payload
-            | Error _ -> ())
-        | Some _ | None -> ()
+            | Error _ -> t.rx_stray <- t.rx_stray + 1)
+        | Some _ | None -> count_rx t slot
       end
       else t.rx_stray <- t.rx_stray + 1
     end

@@ -9,117 +9,120 @@ type route = {
 
 (* Longest-prefix match over a path-compressed binary trie.
 
-   The flat 33-bucket list scan this replaces was fine for tens of routes
-   but priced every lookup at O(routes); a transit gateway holding one
-   aggregated prefix per region (E17: hundreds of regions, 10^4..10^5
-   hosts) needs lookups priced by prefix *depth*, not table size.
+   A transit gateway holding one aggregated prefix per region (E17:
+   hundreds of regions, 10^4..10^5 hosts) needs lookups priced by prefix
+   *depth*, not table size.  Each node is a prefix (network bits +
+   length) with at most two children, whose prefixes strictly extend it.
+   Path compression means a child may extend its parent by many bits at
+   once; a lookup therefore re-checks that the key matches each node's
+   full prefix before descending.
 
-   Nodes live in parallel int arrays (struct-of-arrays, index = node id):
-   each node is a prefix (network bits + length) with at most two
-   children, whose prefixes strictly extend it.  Path compression means a
-   child may extend its parent by many bits at once; a lookup therefore
-   re-checks that the key matches each node's full prefix before
-   descending.  The deepest matching node with a route wins — routes are
-   kept pre-boxed ([route option] per node), so [lookup] returns a stored
-   option and allocates nothing.
+   The nodes are packed into one int array, four ints per node, at
+   [4i .. 4i+3]:
 
-   [generation] counts mutations.  Per-stack lookup caches key their memo
-   on it: any add/remove/clear invalidates every cached answer, which is
-   the only correctness condition a forwarding cache needs. *)
+     nd.(4i)     network bits, 0 .. 2^32-1
+     nd.(4i+1)   (prefix length lsl 1) lor 1 if the node holds a route
+     nd.(4i+2)   child for next bit 0, or -1
+     nd.(4i+3)   child for next bit 1, or -1
+
+   A node is 32 bytes, half a cache line, and its two children sit side
+   by side, so a lookup step reads one node and picks its child with one
+   indexed load, [nd.(4i + 2 + bit)].  Routes are boxed once at [add]
+   into the side array [routes] (a [route option] per node, [None] on
+   branches); [lookup] remembers only the deepest matching node with the
+   route bit set and reads [routes] once, at the end, so it returns a
+   stored option and allocates nothing.  Free nodes are threaded through
+   their bit-0 child slot. *)
 
 type t = {
-  mutable nd_net : int array;  (* network bits, 0 .. 2^32-1 *)
-  mutable nd_len : int array;  (* prefix length, 0 .. 32 *)
-  mutable nd_left : int array;  (* child for next bit 0, or -1 *)
-  mutable nd_right : int array;  (* child for next bit 1, or -1 *)
-  mutable nd_route : route option array;  (* pre-boxed; None on branches *)
+  mutable nd : int array;
+  mutable routes : route option array;
   mutable used : int;  (* high-water mark of allocated node slots *)
-  mutable free_head : int;  (* free list threaded through nd_left *)
+  mutable free_head : int;
   mutable live : int;  (* allocated minus freed nodes *)
   mutable size : int;  (* routes stored *)
-  mutable generation : int;
 }
 
-(* masks.(l) keeps the top l bits of a 32-bit value.  l = 0 falls out of
-   the shift naturally: (-1) lsl 32 has no low 32 bits set. *)
-let masks = Array.init 33 (fun l -> ((-1) lsl (32 - l)) land 0xffffffff)
-
+(* Node 0 is the root, 0.0.0.0/0.  It is never freed, and it holds the
+   default route when there is one. *)
 let root = 0
+
+let net_of t i = t.nd.(4 * i)
+let len_of t i = t.nd.((4 * i) + 1) lsr 1
+let has_route t i = t.nd.((4 * i) + 1) land 1 = 1
+let child t i bit = t.nd.((4 * i) + 2 + bit)
+let set_child t i bit c = t.nd.((4 * i) + 2 + bit) <- c
+
+let set_route t i r =
+  t.routes.(i) <- r;
+  let k = (4 * i) + 1 in
+  t.nd.(k) <-
+    (match r with None -> t.nd.(k) land lnot 1 | Some _ -> t.nd.(k) lor 1)
+
+let set_node t i ~net ~len =
+  t.nd.(4 * i) <- net;
+  t.nd.((4 * i) + 1) <- len lsl 1;
+  set_child t i 0 (-1);
+  set_child t i 1 (-1)
 
 let create () =
   let cap = 16 in
   let t =
     {
-      nd_net = Array.make cap 0;
-      nd_len = Array.make cap 0;
-      nd_left = Array.make cap (-1);
-      nd_right = Array.make cap (-1);
-      nd_route = Array.make cap None;
+      nd = Array.make (4 * cap) 0;
+      routes = Array.make cap None;
       used = 1;
-      (* node 0 is the root, 0.0.0.0/0, never freed *)
       free_head = -1;
       live = 1;
       size = 0;
-      generation = 0;
     }
   in
+  set_node t root ~net:0 ~len:0;
   t
 
-let generation t = t.generation [@@fastpath]
 let length t = t.size
 let node_count t = t.live
 
 let grow t =
-  let cap = Array.length t.nd_net * 2 in
-  let copy a fill =
-    let a' = Array.make cap fill in
-    Array.blit a 0 a' 0 t.used;
-    a'
-  in
-  t.nd_net <- copy t.nd_net 0;
-  t.nd_len <- copy t.nd_len 0;
-  t.nd_left <- copy t.nd_left (-1);
-  t.nd_right <- copy t.nd_right (-1);
-  let r' = Array.make cap None in
-  Array.blit t.nd_route 0 r' 0 t.used;
-  t.nd_route <- r'
+  let cap = 2 * Array.length t.routes in
+  let nd = Array.make (4 * cap) 0 in
+  Array.blit t.nd 0 nd 0 (4 * t.used);
+  t.nd <- nd;
+  let routes = Array.make cap None in
+  Array.blit t.routes 0 routes 0 t.used;
+  t.routes <- routes
 
 let alloc_node t ~net ~len ~route =
   let i =
     if t.free_head >= 0 then begin
       let i = t.free_head in
-      t.free_head <- t.nd_left.(i);
+      t.free_head <- child t i 0;
       i
     end
     else begin
-      if t.used = Array.length t.nd_net then grow t;
+      if t.used = Array.length t.routes then grow t;
       let i = t.used in
       t.used <- t.used + 1;
       i
     end
   in
-  t.nd_net.(i) <- net;
-  t.nd_len.(i) <- len;
-  t.nd_left.(i) <- -1;
-  t.nd_right.(i) <- -1;
-  t.nd_route.(i) <- route;
+  set_node t i ~net ~len;
+  set_route t i route;
   t.live <- t.live + 1;
   i
 
 let free_node t i =
-  t.nd_route.(i) <- None;
-  t.nd_right.(i) <- -1;
-  t.nd_left.(i) <- t.free_head;
+  set_route t i None;
+  set_child t i 1 (-1);
+  set_child t i 0 t.free_head;
   t.free_head <- i;
   t.live <- t.live - 1
 
+(* Does the [l]-bit prefix with network bits [net] contain [a]? *)
+let covers ~net l a = (a lxor net) lsr (32 - l) = 0 [@@fastpath]
+
 (* The branching bit of [net] just past a node of length [l]. *)
 let bit_after net l = (net lsr (31 - l)) land 1
-
-let child t i bit = if bit = 0 then t.nd_left.(i) else t.nd_right.(i)
-
-let set_child t i bit c =
-  if bit = 0 then t.nd_left.(i) <- c else t.nd_right.(i) <- c
 
 (* Length of the common prefix of [a] and [b], capped at [cap]. *)
 let common_len a b cap =
@@ -149,8 +152,6 @@ let common_len a b cap =
     min cap !n
   end
 
-let bump t = t.generation <- t.generation + 1
-
 let add t r =
   let net = Addr.to_int (Addr.Prefix.network r.prefix) in
   let plen = Addr.Prefix.length r.prefix in
@@ -158,12 +159,12 @@ let add t r =
   let rec insert i =
     (* invariant: node [i]'s prefix is a (possibly equal) prefix of the
        target's *)
-    if t.nd_len.(i) = plen then begin
-      if t.nd_route.(i) = None then t.size <- t.size + 1;
-      t.nd_route.(i) <- boxed
+    if len_of t i = plen then begin
+      if not (has_route t i) then t.size <- t.size + 1;
+      set_route t i boxed
     end
     else begin
-      let bit = bit_after net t.nd_len.(i) in
+      let bit = bit_after net (len_of t i) in
       let c = child t i bit in
       if c < 0 then begin
         let leaf = alloc_node t ~net ~len:plen ~route:boxed in
@@ -171,21 +172,22 @@ let add t r =
         t.size <- t.size + 1
       end
       else begin
-        let cl = common_len net t.nd_net.(c) (min plen t.nd_len.(c)) in
-        if cl = t.nd_len.(c) then insert c
+        let clen = len_of t c in
+        let cl = common_len net (net_of t c) (min plen clen) in
+        if cl = clen then insert c
         else if cl = plen then begin
           (* target sits on the edge between [i] and [c] *)
           let mid = alloc_node t ~net ~len:plen ~route:boxed in
-          set_child t mid (bit_after t.nd_net.(c) plen) c;
+          set_child t mid (bit_after (net_of t c) plen) c;
           set_child t i bit mid;
           t.size <- t.size + 1
         end
         else begin
           (* diverge below [cl]: branch node with [c] and a new leaf *)
-          let bnet = net land masks.(cl) in
+          let bnet = (net lsr (32 - cl)) lsl (32 - cl) in
           let branch = alloc_node t ~net:bnet ~len:cl ~route:None in
           let leaf = alloc_node t ~net ~len:plen ~route:boxed in
-          set_child t branch (bit_after t.nd_net.(c) cl) c;
+          set_child t branch (bit_after (net_of t c) cl) c;
           set_child t branch (bit_after net cl) leaf;
           set_child t i bit branch;
           t.size <- t.size + 1
@@ -194,7 +196,6 @@ let add t r =
     end
   in
   insert root;
-  bump t;
   if Trace.want Trace.Cls.route then
     Trace.emit
       (Trace.Event.Route_change
@@ -205,9 +206,9 @@ let add t r =
    weight: a routeless node with no children disappears, a routeless
    pass-through with one child is path-compressed away. *)
 let compact t ~parent:p i =
-  if i <> root && t.nd_route.(i) = None then begin
-    let l = t.nd_left.(i) and r = t.nd_right.(i) in
-    let pbit = bit_after t.nd_net.(i) t.nd_len.(p) in
+  if i <> root && not (has_route t i) then begin
+    let l = child t i 0 and r = child t i 1 in
+    let pbit = bit_after (net_of t i) (len_of t p) in
     if l < 0 && r < 0 then begin
       set_child t p pbit (-1);
       free_node t i
@@ -223,11 +224,11 @@ let remove t prefix =
   let plen = Addr.Prefix.length prefix in
   let rec descend gp p i =
     if i >= 0 then begin
-      let l = t.nd_len.(i) in
-      if l <= plen && (net lxor t.nd_net.(i)) land masks.(l) = 0 then begin
+      let l = len_of t i in
+      if l <= plen && covers ~net:(net_of t i) l net then begin
         if l = plen then begin
-          if t.nd_net.(i) = net && t.nd_route.(i) <> None then begin
-            t.nd_route.(i) <- None;
+          if has_route t i then begin
+            set_route t i None;
             t.size <- t.size - 1;
             (* the node may now be dead weight; and removing it can leave
                its parent a routeless pass-through *)
@@ -239,29 +240,25 @@ let remove t prefix =
       end
     end
   in
-  (match () with
-  | () when plen = 0 ->
-      (* the root itself carries the default route; never freed *)
-      if t.nd_route.(root) <> None then begin
-        t.nd_route.(root) <- None;
-        t.size <- t.size - 1
-      end
-  | () -> descend (-1) root (child t root (bit_after net 0)));
-  bump t;
+  if plen = 0 then begin
+    if has_route t root then begin
+      set_route t root None;
+      t.size <- t.size - 1
+    end
+  end
+  else descend (-1) root (child t root (bit_after net 0));
   if Trace.want Trace.Cls.route then
     Trace.emit
       (Trace.Event.Route_change
          { prefix; metric = 0; action = Trace.Event.Route_remove })
 
 let clear t =
-  t.nd_left.(root) <- -1;
-  t.nd_right.(root) <- -1;
-  t.nd_route.(root) <- None;
+  Array.fill t.routes 0 t.used None;
+  set_node t root ~net:0 ~len:0;
   t.used <- 1;
   t.free_head <- -1;
   t.live <- 1;
   t.size <- 0;
-  bump t;
   if Trace.want Trace.Cls.route then
     Trace.emit
       (Trace.Event.Route_change
@@ -269,33 +266,31 @@ let clear t =
            action = Trace.Event.Route_clear })
 
 (* The hot path: walk matching nodes from the root, remembering the last
-   one that carried a route.  Each step re-checks the node's full prefix
-   against the key (path compression can skip bits), then branches on the
-   bit just past it.  Routes are pre-boxed at insertion, so this returns
-   a stored [Some] and allocates nothing. *)
-let rec lookup_at t a i best =
+   one that holds a route.  Each step re-checks the node's full prefix
+   against the key (path compression can skip bits), then loads the
+   child for the bit just past it. *)
+let rec walk nd a i best =
   if i < 0 then best
   else begin
-    let l = Array.unsafe_get t.nd_len i in
-    if (a lxor Array.unsafe_get t.nd_net i) land Array.unsafe_get masks l <> 0
-    then best
+    let b = 4 * i in
+    let lw = Array.unsafe_get nd (b + 1) in
+    let l = lw lsr 1 in
+    if not (covers ~net:(Array.unsafe_get nd b) l a) then best
     else begin
-      let best =
-        match Array.unsafe_get t.nd_route i with
-        | None -> best
-        | Some _ as r -> r
-      in
-      if l >= 32 then best
+      let best = if lw land 1 = 0 then best else i in
+      if l = 32 then best
       else
-        lookup_at t a
-          (if (a lsr (31 - l)) land 1 = 0 then Array.unsafe_get t.nd_left i
-           else Array.unsafe_get t.nd_right i)
+        walk nd a
+          (Array.unsafe_get nd (b + 2 + ((a lsr (31 - l)) land 1)))
           best
     end
   end
 [@@fastpath]
 
-let lookup t addr = lookup_at t (Addr.to_int addr) root None [@@fastpath]
+let lookup t addr =
+  let i = walk t.nd (Addr.to_int addr) root (-1) in
+  if i < 0 then None else Array.unsafe_get t.routes i
+[@@fastpath]
 
 let find t prefix =
   let net = Addr.to_int (Addr.Prefix.network prefix) in
@@ -303,9 +298,9 @@ let find t prefix =
   let rec go i =
     if i < 0 then None
     else begin
-      let l = t.nd_len.(i) in
-      if l > plen || (net lxor t.nd_net.(i)) land masks.(l) <> 0 then None
-      else if l = plen then t.nd_route.(i)
+      let l = len_of t i in
+      if l > plen || not (covers ~net:(net_of t i) l net) then None
+      else if l = plen then t.routes.(i)
       else go (child t i (bit_after net l))
     end
   in
@@ -315,9 +310,9 @@ let entries t =
   let acc = ref [] in
   let rec go i =
     if i >= 0 then begin
-      (match t.nd_route.(i) with Some r -> acc := r :: !acc | None -> ());
-      go t.nd_left.(i);
-      go t.nd_right.(i)
+      (match t.routes.(i) with Some r -> acc := r :: !acc | None -> ());
+      go (child t i 0);
+      go (child t i 1)
     end
   in
   go root;

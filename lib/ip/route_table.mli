@@ -1,15 +1,21 @@
 (** Longest-prefix-match forwarding table.
 
     The table maps CIDR prefixes to (outgoing interface, optional next-hop
-    gateway, metric).  Lookup returns the longest matching prefix; among
-    equal-length matches the lowest metric wins.  Routing protocols own the
-    dynamic entries; interface configuration installs connected routes.
+    gateway, metric).  A prefix holds one route, and {!add} replaces it;
+    lookup returns the route of the longest matching prefix.  Routing
+    protocols own the dynamic entries; interface configuration installs
+    connected routes.
 
-    Internally a path-compressed binary trie over the address bits, with
-    nodes in parallel arrays: {!lookup} costs O(prefix depth) regardless of
-    table size and allocates nothing (routes are boxed once at {!add}), so
-    a transit gateway can hold one aggregated prefix per region of an
-    E17-scale catenet without per-packet cost growing with the table. *)
+    Internally a path-compressed binary trie over the address bits, packed
+    into one int array of four ints per node: network bits, prefix length
+    with a has-route bit, then the bit-0 and bit-1 children side by side.
+    A lookup step is one node read plus one indexed load for the child.
+    Routes are boxed once at {!add} into a side array that {!lookup} reads
+    once, at the deepest match, so a lookup costs O(prefix depth)
+    regardless of table size and allocates nothing: a transit gateway can
+    hold one aggregated prefix per region of an E17-scale catenet without
+    per-packet cost growing with the table.  The table is the only
+    forwarding state; nothing memoizes its answers. *)
 
 type route = {
   prefix : Packet.Addr.Prefix.t;
@@ -30,12 +36,6 @@ val remove : t -> Packet.Addr.Prefix.t -> unit
 (** No-op when absent. *)
 
 val clear : t -> unit
-
-val generation : t -> int
-(** Monotonic mutation counter, bumped by {!add}, {!remove} and {!clear}.
-    Route-lookup caches (the IP stack keeps one per stack) compare it to
-    decide whether their memoized answers are still valid — cheap enough to
-    check per packet even while a routing protocol churns the table. *)
 
 val lookup : t -> Packet.Addr.t -> route option
 (** Longest-prefix match. *)

@@ -17,8 +17,8 @@ type counters = {
   mutable fragments_made : int;
   mutable icmp_tx : int;
   mutable echo_replies : int;
-  mutable route_cache_hits : int;
-  mutable route_cache_misses : int;
+  mutable route_cache_hits : int;  (* always 0: there is no route cache *)
+  mutable route_cache_misses : int;  (* always 0 *)
 }
 
 let new_counters () =
@@ -50,19 +50,6 @@ type t = {
   mutable fwd : bool;
   mutable fast : bool;
   table : Route_table.t;
-  (* Destination -> route memo: a direct-mapped array of
-     [route_cache_slots] slots, so the cache is structurally bounded no
-     matter how many distinct destinations transit this stack (a gateway
-     in an E17-scale catenet sees 10^4..10^5 of them; the Hashtbl this
-     replaces grew one bucket per destination).  A slot is live only
-     while its stamp equals the table's current generation, so any
-     add/remove/clear invalidates everything at once — no flush pass —
-     and eviction is collision-replaces-occupant.  Negative answers are
-     cached too: a routing churn bumps the generation, so a later add is
-     never masked.  Hits touch three arrays and allocate nothing. *)
-  cache_key : int array;  (* destination address bits *)
-  cache_val : Route_table.route option array;  (* pre-boxed by the table *)
-  cache_stamp : int array;  (* table generation at fill; -1 = empty *)
   mutable iface_addrs : (Netsim.iface * Addr.t) list;
   (* Upcalls by protocol number: a stack speaks a handful of protocols,
      so short lists searched by [upcall] serve without allocating. *)
@@ -108,36 +95,6 @@ let trace_deliver t (h : Ipv4.header) ~len =
       (Trace.Event.Ip_deliver
          { node = t.node; src = h.Ipv4.src; dst = h.Ipv4.dst;
            proto = Ipv4.Proto.to_int h.Ipv4.proto; len })
-[@@fastpath]
-
-(* Route lookup with a per-stack memo.  The memo only pays off on the fast
-   path; with the fast path disabled we hit the table directly so that the
-   legacy path really is the pre-cache baseline (E13 compares the two). *)
-let route_cache_capacity = 4096 (* power of two: slot index is a mask *)
-
-let lookup_route t dst =
-  if not t.fast then Route_table.lookup t.table dst
-  else begin
-    let key = Addr.to_int dst in
-    (* Fibonacci hash: spread region/host structure across the slots. *)
-    let slot = (key * 0x2545F491) lsr 13 land (route_cache_capacity - 1) in
-    let gen = Route_table.generation t.table in
-    if
-      Array.unsafe_get t.cache_stamp slot = gen
-      && Array.unsafe_get t.cache_key slot = key
-    then begin
-      t.c.route_cache_hits <- t.c.route_cache_hits + 1;
-      Array.unsafe_get t.cache_val slot
-    end
-    else begin
-      t.c.route_cache_misses <- t.c.route_cache_misses + 1;
-      let r = Route_table.lookup t.table dst in
-      Array.unsafe_set t.cache_key slot key;
-      Array.unsafe_set t.cache_val slot r;
-      Array.unsafe_set t.cache_stamp slot gen;
-      r
-    end
-  end
 [@@fastpath]
 
 let iface_addr t i = List.assoc_opt i t.iface_addrs
@@ -287,7 +244,7 @@ let send_raw t ~route (h : Ipv4.header) payload =
   ignore (emit t route.Route_table.iface h payload)
 
 let icmp_to t ~dst msg =
-  match lookup_route t dst with
+  match Route_table.lookup t.table dst with
   | None ->
       (* Cannot even route the error back.  The datagram is still dead,
          but the loss is no longer silent: it is counted and recorded, so
@@ -415,7 +372,7 @@ let forward t (h : Ipv4.header) payload =
   end
   else begin
     let h = { h with Ipv4.ttl = h.Ipv4.ttl - 1 } in
-    match lookup_route t h.Ipv4.dst with
+    match Route_table.lookup t.table h.Ipv4.dst with
     | None ->
         t.c.dropped_no_route <- t.c.dropped_no_route + 1;
         trace_drop t ~src:h.Ipv4.src ~dst:h.Ipv4.dst Trace.Event.No_route;
@@ -442,7 +399,7 @@ let forward t (h : Ipv4.header) payload =
    every edge already. *)
 let forward_fast t frame =
   let dst = Ipv4.peek_dst frame in
-  match lookup_route t dst with
+  match Route_table.lookup t.table dst with
   | Some route
     when Ipv4.peek_ttl frame > 1
          && Bytes.length frame
@@ -531,7 +488,7 @@ let send_frame t ?(tos = Ipv4.Tos.Routine) ?(ttl = 64) ?(dont_fragment = false)
     Ok ()
   end
   else
-    match lookup_route t dst with
+    match Route_table.lookup t.table dst with
     | None ->
         t.c.dropped_no_route <- t.c.dropped_no_route + 1;
         trace_drop t
@@ -582,12 +539,11 @@ let reassembly_pending t = Reassembly.pending t.reasm
 let reassembly_expired t = Reassembly.expired t.reasm
 
 (* Crash semantics (fate-sharing, Clark goal 1): everything a gateway
-   holds that is *derived* — the destination cache, learned routes, and
-   half-assembled datagrams — dies with it.  Connected routes survive
-   because they are configuration, re-derived from the interfaces
-   themselves at boot, not from protocol exchange. *)
+   holds that is *derived* — learned routes and half-assembled
+   datagrams — dies with it.  Connected routes survive because they are
+   configuration, re-derived from the interfaces themselves at boot, not
+   from protocol exchange. *)
 let flush_soft_state t =
-  Array.fill t.cache_stamp 0 route_cache_capacity (-1);
   Reassembly.flush t.reasm;
   List.iter
     (fun (r : Route_table.route) ->
@@ -615,8 +571,6 @@ let metrics_items t () =
     ("fragments_made", i t.c.fragments_made);
     ("icmp_tx", i t.c.icmp_tx);
     ("echo_replies", i t.c.echo_replies);
-    ("route_cache_hits", i t.c.route_cache_hits);
-    ("route_cache_misses", i t.c.route_cache_misses);
     ("reassembly_pending", i (reassembly_pending t));
     ("reassembly_expired", i (reassembly_expired t)) ]
 
@@ -629,9 +583,6 @@ let create ?(forwarding = false) net node =
       node;
       fwd = forwarding;
       fast = true;
-      cache_key = Array.make route_cache_capacity 0;
-      cache_val = Array.make route_cache_capacity None;
-      cache_stamp = Array.make route_cache_capacity (-1);
       table = Route_table.create ();
       iface_addrs = [];
       protos = [];

@@ -29,10 +29,10 @@ type counters = {
   mutable icmp_tx : int;
   mutable echo_replies : int;
   mutable route_cache_hits : int;
-      (** Fast-path route lookups answered from the destination memo. *)
-  mutable route_cache_misses : int;
-      (** Fast-path route lookups that had to walk the table (cold slot,
-          collision eviction, or table generation change). *)
+      (** Always 0: the stack keeps no route cache, and every lookup walks
+          the {!Route_table} trie.  Kept only for readers built against
+          the field; {!metrics_items} omits it. *)
+  mutable route_cache_misses : int;  (** Always 0, as [route_cache_hits]. *)
 }
 
 type send_error = [ `No_route | `Too_big ]
@@ -61,13 +61,13 @@ val set_forwarding : t -> bool -> unit
 val forwarding : t -> bool
 
 val set_fast_path : t -> bool -> unit
-(** The fast path (default on) reads every header field in place,
+(** The fast path (default on) reads every header field in place and
     forwards transit datagrams by patching TTL and checksum in the
-    received frame (RFC 1624) and retransmitting the same bytes, with
-    routes served from a generation-checked lookup cache.  Switching it
-    off restores the legacy decode/re-encode path with direct table
-    lookups.  It exists only as a differential oracle: test_ip checks the
-    two roads agree, and E13 measures one against the other. *)
+    received frame (RFC 1624) and retransmitting the same bytes.
+    Switching it off restores the legacy decode/re-encode path.  Both
+    roads look every route up in the {!Route_table} trie.  The switch
+    exists only as a differential oracle: test_ip checks the two roads
+    agree, and E13 measures one against the other. *)
 
 val fast_path : t -> bool
 
@@ -75,10 +75,10 @@ val receive : t -> iface:Netsim.iface -> bytes -> unit
 (** Hand a raw frame to the stack, exactly as the netsim delivery handler
     does.  Exposed so tests and instrumentation can interpose on a node's
     handler (e.g. to observe per-hop frames) and still feed the stack.
-    On the fast path, forwarding allocates nothing; local delivery of an
-    unfragmented datagram skips reassembly and allocates only the
-    {!Ipv4.header} its upcall takes (plus the payload copy for a plain
-    {!register_proto} upcall). *)
+    On the fast path, forwarding (route lookup included) allocates
+    nothing; local delivery of an unfragmented datagram skips reassembly
+    and allocates only the {!Ipv4.header} its upcall takes (plus the
+    payload copy for a plain {!register_proto} upcall). *)
 
 val register_proto : t -> Ipv4.Proto.t -> (Ipv4.header -> bytes -> unit) -> unit
 (** Install the upcall for a transport protocol.  ICMP is handled
@@ -148,12 +148,6 @@ val icmp_unreachable :
 
 val counters : t -> counters
 
-val route_cache_capacity : int
-(** Structural bound on the per-stack destination->route memo: a
-    direct-mapped array of this many slots, colliding entries evicting
-    each other.  The cache can never outgrow it no matter how many
-    distinct destinations transit the stack. *)
-
 val enable_accounting : ?mode:Accounting.mode -> t -> Accounting.t
 (** Start attributing every datagram forwarded (or locally delivered) by
     this stack to flows; returns the live ledger.  Default mode is
@@ -168,12 +162,12 @@ val reassembly_pending : t -> int
 val reassembly_expired : t -> int
 
 val flush_soft_state : t -> unit
-(** Simulate the memory loss of a crash: drop the route cache, every
-    learned route (anything with a next hop or a nonzero metric), and
-    all pending reassembly buffers.  Connected interface routes remain —
-    they are configuration, not soft state.  Emits
-    [Trace.Event.Fault_soft_reset] when the fault class is enabled, then
-    runs every {!on_soft_flush} subscriber. *)
+(** Simulate the memory loss of a crash: drop every learned route
+    (anything with a next hop or a nonzero metric) and all pending
+    reassembly buffers.  Connected interface routes remain — they are
+    configuration, not soft state.  Emits [Trace.Event.Fault_soft_reset]
+    when the fault class is enabled, then runs every {!on_soft_flush}
+    subscriber. *)
 
 val on_soft_flush : t -> (unit -> unit) -> unit
 (** Subscribe to {!flush_soft_state}: layers above IP that keep derived

@@ -57,24 +57,26 @@ let encode_into ~src ~dst ~src_port ~dst_port ~payload_len buf ~pos =
   Bytes.set_uint16_be buf (pos + 6) (if csum = 0 then 0xffff else csum);
   total
 
-let decode ~src ~dst buf =
-  let len = Bytes.length buf in
+let decode ?(pos = 0) ~src ~dst buf =
+  if pos < 0 then invalid_arg "Udp_wire.decode: negative pos";
+  let len = Bytes.length buf - pos in
   if len < header_size then Error `Truncated
   else begin
-    let declared = Bytes.get_uint16_be buf 4 in
+    let declared = Bytes.get_uint16_be buf (pos + 4) in
     if declared < header_size || declared > len then Error `Truncated
     else begin
       let acc =
         Checksum.pseudo_header ~src ~dst ~proto:17 ~len:declared
       in
-      if not (Checksum.valid ~acc buf ~pos:0 ~len:declared) then
+      if not (Checksum.valid ~acc buf ~pos ~len:declared) then
         Error `Bad_checksum
       else
         Ok
           {
-            src_port = Bytes.get_uint16_be buf 0;
-            dst_port = Bytes.get_uint16_be buf 2;
-            payload = Bytes.sub buf header_size (declared - header_size);
+            src_port = Bytes.get_uint16_be buf pos;
+            dst_port = Bytes.get_uint16_be buf (pos + 2);
+            payload =
+              Bytes.sub buf (pos + header_size) (declared - header_size);
           }
     end
   end

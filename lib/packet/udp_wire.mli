@@ -37,6 +37,11 @@ val encode_into :
     the header is written around it.  Returns the total datagram length.
     Output is byte-for-byte identical to {!encode}. *)
 
-val decode : src:Addr.t -> dst:Addr.t -> bytes -> (t, error) result
+val decode :
+  ?pos:int -> src:Addr.t -> dst:Addr.t -> bytes -> (t, error) result
+(** Decode the datagram that starts at [pos] (default 0) and runs at most
+    to the end of the buffer, e.g. the transport part of a received IP
+    frame.  The checksum is checked over the buffer in place; the payload
+    is the one copy made.  @raise Invalid_argument on a negative [pos]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -537,6 +537,23 @@ let prop_udp_roundtrip =
           && Bytes.equal d'.Udpw.payload payload
       | Error _ -> false)
 
+let prop_udp_decode_pos_matches_slice =
+  (* A datagram at an offset in a larger frame, intact or with one bit
+     flipped anywhere (ports, length, checksum or payload). *)
+  QCheck.Test.make ~name:"udp decode ~pos equals decode on the slice"
+    ~count:300
+    QCheck.(quad (0 -- 40) (1 -- 0xffff) arb_bytes (option (0 -- 0xffff)))
+    (fun (pos, sp, payload, flip) ->
+      let d = Udpw.encode ~src ~dst { Udpw.src_port = sp; dst_port = 9; payload } in
+      (match flip with
+      | Some k ->
+          let i = k mod Bytes.length d in
+          Bytes.set_uint8 d i (Bytes.get_uint8 d i lxor (1 lsl (k mod 8)))
+      | None -> ());
+      let frame = Bytes.make (pos + Bytes.length d) '\xee' in
+      Bytes.blit d 0 frame pos (Bytes.length d);
+      Udpw.decode ~pos ~src ~dst frame = Udpw.decode ~src ~dst d)
+
 let prop_udp_encode_into_matches_encode =
   QCheck.Test.make ~name:"udp encode_into equals encode" ~count:300
     QCheck.(triple (1 -- 0xffff) (1 -- 0xffff) arb_bytes)
@@ -656,6 +673,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_udp_roundtrip;
           Alcotest.test_case "checksum" `Quick test_udp_checksum;
           qcheck prop_udp_roundtrip;
+          qcheck prop_udp_decode_pos_matches_slice;
           qcheck prop_udp_encode_into_matches_encode;
         ] );
       ( "icmp",

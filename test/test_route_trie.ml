@@ -258,18 +258,15 @@ let test_churn_reclaims_nodes () =
   Alcotest.(check int) "no node leak across churn" nodes_once (Rt.node_count t);
   List.iter (fun p -> Rt.remove t p) prefixes;
   Alcotest.(check int) "all routes gone" 0 (Rt.length t);
-  Alcotest.(check int) "only the root remains" 1 (Rt.node_count t)
-
-let test_generation_bumps () =
-  let t = Rt.create () in
-  let g0 = Rt.generation t in
-  Rt.add t (route "10.0.0.0/8" 1 1);
-  let g1 = Rt.generation t in
-  Rt.remove t (Prefix.of_string "172.16.0.0/12") (* absent: still a bump *);
-  let g2 = Rt.generation t in
+  Alcotest.(check int) "only the root remains" 1 (Rt.node_count t);
+  add_all ();
   Rt.clear t;
-  let g3 = Rt.generation t in
-  Alcotest.(check bool) "monotonic" true (g0 < g1 && g1 < g2 && g2 < g3)
+  Alcotest.(check int) "clear empties" 0 (Rt.length t);
+  Alcotest.(check int) "clear keeps only the root" 1 (Rt.node_count t);
+  Alcotest.(check bool) "nothing matches after clear" true
+    (Rt.lookup t (Addr.v 10 1 7 9) = None);
+  add_all ();
+  Alcotest.(check int) "refills after clear" nodes_once (Rt.node_count t)
 
 let test_lookup_allocation_free () =
   let t = Rt.create () in
@@ -305,7 +302,6 @@ let () =
           Alcotest.test_case "overlapping chain" `Quick test_overlapping_chain;
           Alcotest.test_case "churn reclaims nodes" `Quick
             test_churn_reclaims_nodes;
-          Alcotest.test_case "generation bumps" `Quick test_generation_bumps;
           Alcotest.test_case "lookup allocation-free" `Quick
             test_lookup_allocation_free;
         ] );

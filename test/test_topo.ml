@@ -88,6 +88,42 @@ let test_region_prefix_owns_hosts () =
     done
   done
 
+let test_pool_udp_bad_checksum () =
+  (* A pooled host with a UDP sink takes only datagrams that decode: one
+     with a corrupted checksum is a stray, never a delivery. *)
+  let eng = Engine.create () in
+  let net = Netsim.create ~seed:3 eng in
+  let ns = Netsim.add_node net "s" in
+  let nd = Netsim.add_node net "d" in
+  ignore (Netsim.add_link net (Netsim.profile "l") ns nd);
+  let pool = Hostpool.create net in
+  let src = Packet.Addr.v 10 0 0 1 and dst = Packet.Addr.v 10 0 0 2 in
+  let d = Hostpool.attach pool ~node:nd ~iface:0 ~addr:dst in
+  let calls = ref 0 in
+  Hostpool.set_udp_sink pool
+    (Some (fun _slot ~src:_ ~src_port:_ ~dst_port:_ _ -> incr calls));
+  let send ~corrupt =
+    let udp =
+      Packet.Udp_wire.encode ~src ~dst
+        { Packet.Udp_wire.src_port = 53; dst_port = 5353;
+          payload = Bytes.of_string "query" }
+    in
+    if corrupt then Bytes.set_uint8 udp 6 (Bytes.get_uint8 udp 6 lxor 0xff);
+    let h =
+      Packet.Ipv4.make_header ~proto:Packet.Ipv4.Proto.Udp ~src ~dst ()
+    in
+    ignore (Netsim.send net ns ~iface:0 (Packet.Ipv4.encode h ~payload:udp));
+    Engine.run eng
+  in
+  send ~corrupt:false;
+  check Alcotest.int "intact: sink called" 1 !calls;
+  check Alcotest.int "intact: delivered" 1 (Hostpool.rx_count pool d);
+  send ~corrupt:true;
+  check Alcotest.int "corrupt: sink not called" 1 !calls;
+  check Alcotest.int "corrupt: not delivered" 1 (Hostpool.rx_count pool d);
+  check Alcotest.int "corrupt: not in the total" 1 (Hostpool.rx_total pool);
+  check Alcotest.int "corrupt: counted as a stray" 1 (Hostpool.rx_stray pool)
+
 let () =
   Alcotest.run "topo"
     [
@@ -101,5 +137,7 @@ let () =
           Alcotest.test_case "cross-region" `Quick test_cross_region_delivery;
           Alcotest.test_case "intra-region" `Quick test_intra_region_delivery;
           Alcotest.test_case "all region pairs" `Quick test_all_pairs_regions;
+          Alcotest.test_case "pool udp bad checksum" `Quick
+            test_pool_udp_bad_checksum;
         ] );
     ]
