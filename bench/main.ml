@@ -60,6 +60,15 @@ let () =
           in
           scan args)
     in
+    let known id = List.exists (fun (id', _, _) -> id' = id) experiments in
+    (match
+       List.filter (fun id -> not (known id)) (Option.value only ~default:[])
+     with
+    | [] -> ()
+    | unknown ->
+        Printf.eprintf "bench: unknown experiment id(s): %s (see --list)\n"
+          (String.concat ", " unknown);
+        exit 2);
     let wanted (id, _, _) =
       match only with None -> true | Some ids -> List.mem id ids
     in

@@ -31,8 +31,8 @@ type t = {
   mutable rx_total : int;
   mutable rx_stray : int;
       (* frames reaching a pooled host that are not pool datagrams for
-         its address: wrong dst, wrong proto, malformed, or UDP for the
-         sink that fails to decode *)
+         its address: wrong dst, wrong proto, malformed, or UDP that
+         fails its length or checksum check *)
   mutable udp_sink :
     (int ->
     src:Addr.t ->
@@ -52,8 +52,9 @@ let count_rx t slot =
   t.rx_total <- t.rx_total + 1
 
 (* Everything is read in place from the frame: a datagram for a pooled
-   host costs no header, result or address box on its way in, and a UDP
-   datagram for the sink only its payload copy. *)
+   host costs no header or address box on its way in, and a UDP datagram
+   only its length-and-checksum check, plus its payload copy when a sink
+   takes it. *)
 let receive t ~node ~iface:_ frame =
   if node < Array.length t.slot_of_node then begin
     let slot = Array.unsafe_get t.slot_of_node node in
@@ -63,19 +64,24 @@ let receive t ~node ~iface:_ frame =
         (p = proto || p = 17 (* UDP: see [send_udp] *))
         && Addr.equal (Ipv4.peek_dst frame) (Array.unsafe_get t.addr slot)
       then begin
-        match t.udp_sink with
-        | Some sink when p = 17 -> (
-            let src = Ipv4.peek_src frame in
-            match
-              Udp_wire.decode ~pos:Ipv4.header_size ~src
-                ~dst:(Ipv4.peek_dst frame) frame
-            with
-            | Ok d ->
-                count_rx t slot;
-                sink slot ~src ~src_port:d.Udp_wire.src_port
-                  ~dst_port:d.Udp_wire.dst_port d.Udp_wire.payload
-            | Error _ -> t.rx_stray <- t.rx_stray + 1)
-        | Some _ | None -> count_rx t slot
+        if p = proto then count_rx t slot
+        else
+          let src = Ipv4.peek_src frame and pos = Ipv4.header_size in
+          match
+            Udp_wire.peek ~src ~dst:(Ipv4.peek_dst frame) frame ~pos
+              ~len:(Ipv4.peek_total_len frame - pos)
+          with
+          | Error _ -> t.rx_stray <- t.rx_stray + 1
+          | Ok len -> (
+              count_rx t slot;
+              match t.udp_sink with
+              | Some sink ->
+                  sink slot ~src
+                    ~src_port:(Udp_wire.peek_src_port frame ~pos)
+                    ~dst_port:(Udp_wire.peek_dst_port frame ~pos)
+                    (Bytes.sub frame (pos + Udp_wire.header_size)
+                       (len - Udp_wire.header_size))
+              | None -> ())
       end
       else t.rx_stray <- t.rx_stray + 1
     end

@@ -44,7 +44,8 @@ val send_udp :
     Pool datagrams are portless — one flow per host pair — so workloads
     that need flow churn (E20) vary ports here instead.  The pool's
     receive closure counts inbound UDP for the host's address as
-    delivered, same as pool datagrams. *)
+    delivered, same as pool datagrams, once its length and checksum
+    check out; one that fails either is counted in {!rx_stray}. *)
 
 val set_udp_sink :
   t ->
@@ -58,9 +59,7 @@ val set_udp_sink :
   unit
 (** Attach (or detach) the pool-wide UDP payload sink: fires as
     [(sink slot ~src ~src_port ~dst_port payload)] for every delivered,
-    checksum-valid UDP datagram, after the rx counters.  While a sink is
-    attached, a UDP datagram that fails to decode (bad checksum or
-    length) is counted in {!rx_stray}, not as delivered.  One shared
+    checksum-valid UDP datagram, after the rx counters.  One shared
     closure — like the receive handler — so a workload can give pooled
     hosts behavior (echo replicas, request/response clients) without
     per-host closures.  Pool datagrams (proto 225) stay count-only. *)
@@ -77,5 +76,5 @@ val rx_total : t -> int
 val rx_stray : t -> int
 (** Frames that reached a pooled host but were not pool datagrams for its
     address — misrouted, malformed, or foreign-protocol traffic, and UDP
-    datagrams for the sink that fail to decode.  Always 0 in a correctly
-    wired topology with intact links. *)
+    datagrams that fail their length or checksum check.  Always 0 in a
+    correctly wired topology with intact links. *)

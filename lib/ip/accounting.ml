@@ -128,43 +128,15 @@ let bump_sketch sk hh ~src ~dst ~meta ~wire_bytes =
     ~wire_bytes
 [@@fastpath]
 
-(* Ports sit in the first 4 bytes of both TCP and UDP headers, but only
-   in the first fragment of a fragmented datagram.  Anything else is a
-   portless flow: it keeps ports (0,0) *and* the portless mark, so it
-   can never alias a real port-(0,0) flow. *)
-let record t (h : Ipv4.header) ~payload ~wire_bytes =
-  t.total_packets <- t.total_packets + 1;
-  t.total_bytes <- t.total_bytes + wire_bytes;
-  let ported =
-    (match h.proto with
-    | Ipv4.Proto.Tcp | Ipv4.Proto.Udp -> true
-    | Ipv4.Proto.Icmp | Ipv4.Proto.Other _ -> false)
-    && h.frag_offset = 0
-    && Bytes.length payload >= 4
-  in
-  let sp = if ported then Bytes.get_uint16_be payload 0 else 0 in
-  let dp = if ported then Bytes.get_uint16_be payload 2 else 0 in
-  match t.engine with
-  | Exact_table tbl ->
-      bump_exact tbl
-        { src = h.src; dst = h.dst; proto = h.proto; src_port = sp;
-          dst_port = dp; portless = not ported }
-        ~wire_bytes
-  | Sketched e ->
-      let meta =
-        pack_meta
-          ~portless:(if ported then 0 else 1)
-          ~pn:(proto_number h.proto) ~sp ~dp
-      in
-      bump_sketch e.sk e.hh ~src:(Addr.to_int h.src) ~dst:(Addr.to_int h.dst)
-        ~meta ~wire_bytes
-
-(* Same attribution, straight off the received frame: no payload copy,
-   no header or record construction, nothing allocated in sketch mode.
-   This is what lets `forward_fast` and the frame-handler delivery road
-   keep accounting on without leaving the fast path. *)
-let record_fast t ~frame =
-  let wire_bytes = Bytes.length frame in
+(* Attribution straight off the frame: no payload copy, no header or
+   record construction, nothing allocated in sketch mode, so accounting
+   rides `forward_fast` and local delivery without leaving either.  Ports
+   sit in the first 4 bytes of both TCP and UDP headers, but only in the
+   first fragment of a fragmented datagram.  Anything else is a portless
+   flow: it keeps ports (0,0) *and* the portless mark, so it can never
+   alias a real port-(0,0) flow. *)
+let record t ~frame =
+  let wire_bytes = Ipv4.peek_total_len frame in
   t.total_packets <- t.total_packets + 1;
   t.total_bytes <- t.total_bytes + wire_bytes;
   let pn = Ipv4.peek_proto frame in

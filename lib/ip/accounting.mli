@@ -13,7 +13,7 @@
       ({!Sketch.t}) estimates every flow's usage in fixed memory with
       one-sided error, and a space-saving tracker ({!Heavy_hitters.t})
       keeps exact-from-admission records for the current top-k flows.
-      {!record_fast} is allocation-free, so accounting rides
+      {!record} is allocation-free, so accounting rides
       [forward_fast] instead of disqualifying it. *)
 
 type flow = {
@@ -58,17 +58,12 @@ val create : ?mode:mode -> ?history:int -> unit -> t
 
 val mode : t -> mode
 
-val record : t -> Packet.Ipv4.header -> payload:bytes -> wire_bytes:int -> unit
-(** Attribute one datagram.  [payload] is the IP payload (for port
-    extraction from first-fragment transport headers); [wire_bytes] is
-    what the gateway actually carried, header included. *)
-
-val record_fast : t -> frame:bytes -> unit
-(** Same attribution, straight off a valid received wire frame ([frame]
-    includes the IP header, read in place; its length is the wire byte
-    count).
-    Allocation-free in sketch mode ([@@fastpath], checked by
-    catenet-lint); exact mode takes the same ledger path as {!record}. *)
+val record : t -> frame:bytes -> unit
+(** Attribute one datagram, read in place from a valid frame: addresses
+    and protocol from its IP header, ports from a first fragment's
+    transport header, and the IP total length (header included) as its
+    byte count.  Allocation-free in sketch mode ([@@fastpath], checked by
+    catenet-lint); exact mode allocates its ledger key. *)
 
 val rotate : t -> unit
 (** Start a new accounting epoch: snapshot the closing epoch's top

@@ -36,7 +36,9 @@ let insert fragments off data =
   in
   go fragments
 
-(* Contiguity check: fragments must cover [0, total). *)
+(* Contiguity check: fragments must cover [0, total).  The datagram is
+   written behind an [Ipv4.header_size] prefix, where [push] puts its
+   header. *)
 let try_assemble b =
   match b.total_len with
   | None -> None
@@ -49,18 +51,20 @@ let try_assemble b =
       in
       if not (covered 0 b.fragments) then None
       else begin
-        let out = Bytes.make total '\000' in
+        let out = Bytes.make (Ipv4.header_size + total) '\000' in
         List.iter
           (fun (off, data) ->
             let len = min (Bytes.length data) (total - off) in
-            if len > 0 then Bytes.blit data 0 out off len)
+            if len > 0 then Bytes.blit data 0 out (Ipv4.header_size + off) len)
           b.fragments;
         Some out
       end
 
-let push t (h : Ipv4.header) payload =
-  if h.frag_offset = 0 && not h.more_fragments then Complete payload
+let push t frame =
+  let h = Ipv4.peek_header frame in
+  if h.frag_offset = 0 && not h.more_fragments then Complete frame
   else begin
+    let payload = Ipv4.payload_of frame in
     let k = key_of h in
     let b =
       match Hashtbl.find_opt t.buffers k with
@@ -87,14 +91,18 @@ let push t (h : Ipv4.header) payload =
       b.total_len <- Some (h.frag_offset + Bytes.length payload);
     match try_assemble b with
     | None -> Incomplete
-    | Some data ->
+    | Some whole ->
         Engine.Timer.cancel b.timer;
         Hashtbl.remove t.buffers k;
+        (* The completing fragment's header, as one unfragmented datagram. *)
+        Ipv4.encode_into
+          { h with Ipv4.more_fragments = false; frag_offset = 0 } whole;
         if Trace.want Trace.Cls.frag then
           Trace.emit
             (Trace.Event.Ip_reassembled
-               { node = t.node; id = h.id; len = Bytes.length data });
-        Complete data
+               { node = t.node; id = h.id;
+                 len = Bytes.length whole - Ipv4.header_size });
+        Complete whole
   end
 
 let pending t = Hashtbl.length t.buffers

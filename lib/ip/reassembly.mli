@@ -14,12 +14,21 @@ val create : ?timeout_us:int -> ?node:int -> Engine.t -> t
 
 type result =
   | Incomplete  (** Stored; waiting for more fragments. *)
-  | Complete of bytes  (** Fully reassembled payload. *)
+  | Complete of bytes
+      (** The whole datagram in one valid frame: the completing
+          fragment's header with MF clear and offset 0, then every
+          payload byte. *)
 
-val push : t -> Packet.Ipv4.header -> bytes -> result
-(** Feed one fragment (header plus fragment payload).  Unfragmented
-    datagrams (offset 0, MF clear) complete immediately.  Overlapping
-    fragments are accepted; earlier data wins on overlap. *)
+val push : t -> bytes -> result
+(** Feed one fragment, a frame {!Packet.Ipv4.valid} accepts; its payload
+    is copied, up to the IP total length.  An unfragmented datagram
+    (offset 0, MF clear) completes immediately as the frame itself.
+    Overlapping fragments are accepted; earlier data wins on overlap.
+    The caller keeps the rebuilt datagram within
+    {!Packet.Ipv4.max_datagram}: a fragment whose offset plus length
+    passes it must be dropped before it gets here.
+    @raise Invalid_argument when the rebuilt datagram would exceed
+    {!Packet.Ipv4.max_datagram}. *)
 
 val pending : t -> int
 (** Reassembly buffers currently held. *)

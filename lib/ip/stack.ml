@@ -52,9 +52,8 @@ type t = {
   table : Route_table.t;
   mutable iface_addrs : (Netsim.iface * Addr.t) list;
   (* Upcalls by protocol number: a stack speaks a handful of protocols,
-     so short lists searched by [upcall] serve without allocating. *)
-  mutable protos : (int * (Ipv4.header -> bytes -> unit)) list;
-  mutable frame_protos : (int * (Ipv4.header -> bytes -> pos:int -> unit)) list;
+     so a short list searched by [upcall] serves without allocating. *)
+  mutable protos : (int * (bytes -> unit)) list;
   mutable error_handlers : (from:Addr.t -> Icmp.t -> unit) list;
   mutable echo_reply_handler : (id:int -> seq:int -> payload:bytes -> unit) option;
   reasm : Reassembly.t;
@@ -89,12 +88,13 @@ let trace_drop t ~src ~dst reason =
     Trace.emit (Trace.Event.Ip_drop { node = t.node; src; dst; reason })
 [@@fastpath]
 
-let trace_deliver t (h : Ipv4.header) ~len =
+let trace_deliver t frame =
   if Trace.want Trace.Cls.ip then
     Trace.emit
       (Trace.Event.Ip_deliver
-         { node = t.node; src = h.Ipv4.src; dst = h.Ipv4.dst;
-           proto = Ipv4.Proto.to_int h.Ipv4.proto; len })
+         { node = t.node; src = Ipv4.peek_src frame; dst = Ipv4.peek_dst frame;
+           proto = Ipv4.peek_proto frame;
+           len = Ipv4.peek_total_len frame - Ipv4.header_size })
 [@@fastpath]
 
 let iface_addr t i = List.assoc_opt i t.iface_addrs
@@ -130,29 +130,31 @@ let configure_iface t iface ~addr ~prefix_len =
       metric = 0;
     }
 
-(* The upcall registered for protocol [n]; [Not_found] if none.  Its
-   result is a function, so the typed fast-path lint takes every call
-   for a partial application: the call sites are exempt. *)
-let rec upcall n l =
+(* Hand [frame] to the upcall registered for protocol [n], counting and
+   tracing the delivery first; [false] when no transport claims [n]. *)
+let rec upcall t n frame l =
   match l with
-  | [] -> raise_notrace Not_found
-  | (n', f) :: rest -> if n = n' then f else upcall n rest
+  | [] -> false
+  | (n', f) :: rest ->
+      if n <> n' then upcall t n frame rest
+      else begin
+        t.c.delivered <- t.c.delivered + 1;
+        trace_deliver t frame;
+        f frame;
+        true
+      end
 [@@fastpath]
 
-let register_proto t proto f =
-  let n = Ipv4.Proto.to_int proto in
-  if n = 1 then invalid_arg "Ip.Stack.register_proto: ICMP is built in";
-  t.protos <- (n, f) :: List.remove_assoc n t.protos
-
-(* A frame handler is an optimisation overlay, not a replacement: the
-   receive fast path hands it the whole frame (payload at [pos]) when the
-   datagram needs no reassembly and no accounting; every other road —
-   fragments, slow path, loopback — still goes through the [register_proto]
-   handler, which therefore must also be registered. *)
 let register_proto_frame t proto f =
   let n = Ipv4.Proto.to_int proto in
   if n = 1 then invalid_arg "Ip.Stack.register_proto_frame: ICMP is built in";
-  t.frame_protos <- (n, f) :: List.remove_assoc n t.frame_protos
+  t.protos <- (n, f) :: List.remove_assoc n t.protos
+
+(* The copying adapter over the one upcall: a header record and a payload
+   copy per datagram. *)
+let register_proto t proto f =
+  register_proto_frame t proto (fun frame ->
+      f (Ipv4.peek_header frame) (Ipv4.payload_of frame))
 
 let add_error_handler t f = t.error_handlers <- t.error_handlers @ [ f ]
 let set_echo_reply_handler t f = t.echo_reply_handler <- Some f
@@ -231,13 +233,6 @@ let emit t iface (h : Ipv4.header) payload =
     Ok ()
   end
 
-let account t h payload =
-  match t.accounting with
-  | None -> ()
-  | Some acc ->
-      Accounting.record acc h ~payload
-        ~wire_bytes:(Ipv4.header_size + Bytes.length payload)
-
 (* ICMP plumbing -------------------------------------------------------- *)
 
 let send_raw t ~route (h : Ipv4.header) payload =
@@ -269,114 +264,109 @@ let icmp_to t ~dst msg =
       send_raw t ~route h (Icmp.encode msg)
 
 (* Never generate ICMP errors about ICMP errors (RFC 792). *)
-let may_report_error (h : Ipv4.header) payload =
-  match h.Ipv4.proto with
-  | Ipv4.Proto.Icmp ->
-      Bytes.length payload > 0
-      &&
-      let ty = Bytes.get_uint8 payload 0 in
-      ty = 8 || ty = 0 (* only echo traffic may trigger errors *)
-  | Ipv4.Proto.Tcp | Ipv4.Proto.Udp | Ipv4.Proto.Other _ -> true
+let may_report_error frame =
+  Ipv4.peek_proto frame <> 1
+  || Ipv4.peek_total_len frame > Ipv4.header_size
+     &&
+     let ty = Bytes.get_uint8 frame Ipv4.header_size in
+     ty = 8 || ty = 0 (* only echo traffic may trigger errors *)
 
-let report_unreachable t (h : Ipv4.header) payload code =
-  if may_report_error h payload then begin
-    let original =
-      Icmp.original_of ~ip_header:(Ipv4.encode h ~payload)
-    in
-    icmp_to t ~dst:h.Ipv4.src (Icmp.Dest_unreachable { code; original })
-  end
+(* [frame] is the problem datagram; the error quotes its header and first
+   payload bytes. *)
+let report_unreachable t frame code =
+  if may_report_error frame then
+    icmp_to t ~dst:(Ipv4.peek_src frame)
+      (Icmp.Dest_unreachable
+         { code; original = Icmp.original_of ~ip_header:frame })
 
-let report_time_exceeded t (h : Ipv4.header) payload =
-  if may_report_error h payload then begin
-    let original = Icmp.original_of ~ip_header:(Ipv4.encode h ~payload) in
-    icmp_to t ~dst:h.Ipv4.src (Icmp.Time_exceeded { original })
-  end
+let report_time_exceeded t frame =
+  if may_report_error frame then
+    icmp_to t ~dst:(Ipv4.peek_src frame)
+      (Icmp.Time_exceeded { original = Icmp.original_of ~ip_header:frame })
 
 (* Local delivery ------------------------------------------------------- *)
 
-let deliver_icmp t (h : Ipv4.header) data =
-  match Icmp.decode data with
+let deliver_icmp t frame =
+  let from = Ipv4.peek_src frame in
+  match Icmp.decode (Ipv4.payload_of frame) with
   | Error _ ->
       t.c.dropped_malformed <- t.c.dropped_malformed + 1;
-      trace_drop t ~src:h.Ipv4.src ~dst:h.Ipv4.dst Trace.Event.Malformed
+      trace_drop t ~src:from ~dst:(Ipv4.peek_dst frame) Trace.Event.Malformed
   | Ok (Icmp.Echo_request { id; seq; payload }) ->
       t.c.delivered <- t.c.delivered + 1;
       t.c.echo_replies <- t.c.echo_replies + 1;
-      trace_deliver t h ~len:(Bytes.length data);
-      icmp_to t ~dst:h.Ipv4.src (Icmp.Echo_reply { id; seq; payload })
+      trace_deliver t frame;
+      icmp_to t ~dst:from (Icmp.Echo_reply { id; seq; payload })
   | Ok (Icmp.Echo_reply { id; seq; payload }) -> (
       t.c.delivered <- t.c.delivered + 1;
-      trace_deliver t h ~len:(Bytes.length data);
+      trace_deliver t frame;
       match t.echo_reply_handler with
       | Some f -> f ~id ~seq ~payload
       | None -> ())
   | Ok (Icmp.Dest_unreachable _ as msg) | Ok (Icmp.Time_exceeded _ as msg) ->
       t.c.delivered <- t.c.delivered + 1;
-      trace_deliver t h ~len:(Bytes.length data);
-      List.iter (fun f -> f ~from:h.Ipv4.src msg) t.error_handlers
+      trace_deliver t frame;
+      List.iter (fun f -> f ~from msg) t.error_handlers
 
-(* Hand a complete datagram to ICMP or its protocol's plain upcall. *)
-let deliver_data t (h : Ipv4.header) data =
-  account t h data;
-  match h.Ipv4.proto with
-  | Ipv4.Proto.Icmp -> deliver_icmp t h data
-  | p -> (
-      match upcall (Ipv4.Proto.to_int p) t.protos with
-      | f ->
-          t.c.delivered <- t.c.delivered + 1;
-          trace_deliver t h ~len:(Bytes.length data);
-          f h data
-      | exception Not_found ->
-          t.c.dropped_no_proto <- t.c.dropped_no_proto + 1;
-          trace_drop t ~src:h.Ipv4.src ~dst:h.Ipv4.dst Trace.Event.No_proto;
-          report_unreachable t h data Icmp.Protocol_unreachable)
+let no_proto t frame =
+  t.c.dropped_no_proto <- t.c.dropped_no_proto + 1;
+  trace_drop t ~src:(Ipv4.peek_src frame) ~dst:(Ipv4.peek_dst frame)
+    Trace.Event.No_proto;
+  report_unreachable t frame Icmp.Protocol_unreachable
 
-let deliver_local t (h : Ipv4.header) payload =
-  match Reassembly.push t.reasm h payload with
-  | Reassembly.Incomplete -> ()
-  | Reassembly.Complete data -> deliver_data t h data
-
-(* Local delivery off a valid frame.  An unfragmented datagram skips
-   reassembly; a protocol with a frame handler gets the frame itself,
-   any other the [header] and payload copy its plain upcall takes. *)
-let deliver_frame t frame =
-  if Ipv4.peek_more_fragments frame || Ipv4.peek_frag_offset frame <> 0 then
-    (deliver_local t (Ipv4.peek_header frame) (Ipv4.payload_of frame)
-    [@fastpath.exempt])
-  else
-    match (upcall (Ipv4.peek_proto frame) t.frame_protos [@fastpath.exempt]) with
-    | f ->
-        t.c.delivered <- t.c.delivered + 1;
-        (match t.accounting with
-        | None -> ()
-        | Some acc -> Accounting.record_fast acc ~frame);
-        (* The one allocation of this road: the header upcalls take. *)
-        let h = (Ipv4.peek_header frame [@fastpath.exempt]) in
-        trace_deliver t h ~len:(Bytes.length frame - Ipv4.header_size);
-        f h frame ~pos:Ipv4.header_size
-    | exception Not_found ->
-        (deliver_data t (Ipv4.peek_header frame) (Ipv4.payload_of frame)
-        [@fastpath.exempt])
+(* The one road up: every local datagram — received whole, reassembled or
+   looped back — arrives here as one valid frame, which ICMP or the
+   protocol's upcall reads in place up to the IP total length. *)
+let deliver t frame =
+  (match t.accounting with
+  | None -> ()
+  | Some acc -> Accounting.record acc ~frame);
+  let n = Ipv4.peek_proto frame in
+  if n = 1 then (deliver_icmp t frame [@fastpath.exempt])
+  else if not (upcall t n frame t.protos) then
+    (no_proto t frame [@fastpath.exempt])
 [@@fastpath]
+
+(* A fragment waits for its siblings.  One that would end past the
+   largest datagram IP can carry (RFC 791) is malformed and never stored,
+   so a rebuilt datagram always fits its header's length field. *)
+let deliver_fragment t frame =
+  if
+    Ipv4.peek_frag_offset frame + Ipv4.peek_total_len frame
+    > Ipv4.max_datagram
+  then begin
+    t.c.dropped_malformed <- t.c.dropped_malformed + 1;
+    trace_drop t ~src:(Ipv4.peek_src frame) ~dst:(Ipv4.peek_dst frame)
+      Trace.Event.Malformed
+  end
+  else
+    match Reassembly.push t.reasm frame with
+    | Reassembly.Incomplete -> ()
+    | Reassembly.Complete whole -> deliver t whole
 
 (* Forwarding ----------------------------------------------------------- *)
 
-(* Slow (decode/re-encode) forwarding: materialized header and payload in,
-   fresh frame out via [emit].  Still the only road for datagrams that need
-   fragmenting, and the whole road when the fast path is switched off. *)
-let forward t (h : Ipv4.header) payload =
-  if h.Ipv4.ttl <= 1 then begin
+(* Slow (decode/re-encode) forwarding: header and payload copied out of
+   the frame, a fresh frame out via [emit].  Still the only road for
+   datagrams that need fragmenting or draw an ICMP error, and the whole
+   road when the fast path is switched off. *)
+let forward t frame =
+  if Ipv4.peek_ttl frame <= 1 then begin
     t.c.dropped_ttl <- t.c.dropped_ttl + 1;
-    trace_drop t ~src:h.Ipv4.src ~dst:h.Ipv4.dst Trace.Event.Ttl_expired;
-    report_time_exceeded t h payload
+    trace_drop t ~src:(Ipv4.peek_src frame) ~dst:(Ipv4.peek_dst frame)
+      Trace.Event.Ttl_expired;
+    report_time_exceeded t frame
   end
   else begin
-    let h = { h with Ipv4.ttl = h.Ipv4.ttl - 1 } in
+    let h =
+      { (Ipv4.peek_header frame) with Ipv4.ttl = Ipv4.peek_ttl frame - 1 }
+    in
+    let payload = Ipv4.payload_of frame in
     match Route_table.lookup t.table h.Ipv4.dst with
     | None ->
         t.c.dropped_no_route <- t.c.dropped_no_route + 1;
         trace_drop t ~src:h.Ipv4.src ~dst:h.Ipv4.dst Trace.Event.No_route;
-        report_unreachable t h payload Icmp.Net_unreachable
+        report_unreachable t (Ipv4.encode h ~payload) Icmp.Net_unreachable
     | Some route -> (
         t.c.forwarded <- t.c.forwarded + 1;
         if Trace.want Trace.Cls.ip then
@@ -384,24 +374,28 @@ let forward t (h : Ipv4.header) payload =
             (Trace.Event.Ip_forward
                { node = t.node; src = h.Ipv4.src; dst = h.Ipv4.dst;
                  ttl = h.Ipv4.ttl; len = Bytes.length payload });
-        account t h payload;
+        (match t.accounting with
+        | None -> ()
+        | Some acc -> Accounting.record acc ~frame);
         match emit t route.Route_table.iface h payload with
         | Ok () -> ()
         | Error `Too_big ->
-            report_unreachable t h payload Icmp.Fragmentation_needed)
+            report_unreachable t (Ipv4.encode h ~payload)
+              Icmp.Fragmentation_needed)
   end
 
 (* Fast transit: patch TTL and checksum in the received frame (RFC 1624)
    and retransmit the very same bytes — two bytes mutated, no payload copy,
    no re-encode, every field read in place.  Anything off the happy path
    (TTL expiry, no route, frame larger than the next link's MTU, i.e.
-   fragmentation or a DF drop) bails out to the slow path, which handles
-   every edge already. *)
+   fragmentation or a DF drop), and every datagram while the fast path is
+   switched off, takes the slow path, which handles every edge already. *)
 let forward_fast t frame =
   let dst = Ipv4.peek_dst frame in
   match Route_table.lookup t.table dst with
   | Some route
-    when Ipv4.peek_ttl frame > 1
+    when t.fast
+         && Ipv4.peek_ttl frame > 1
          && Bytes.length frame
             <= Netsim.iface_mtu t.net t.node route.Route_table.iface ->
       Ipv4.patch_ttl frame;
@@ -415,43 +409,25 @@ let forward_fast t frame =
          goal 7 no longer costs a payload copy or a slow-path bail. *)
       (match t.accounting with
       | None -> ()
-      | Some acc -> Accounting.record_fast acc ~frame);
+      | Some acc -> Accounting.record acc ~frame);
       transmit t route.Route_table.iface
         ~priority:(Ipv4.peek_tos frame = Ipv4.Tos.Low_delay)
         frame
-  | Some _ | None ->
-      (* Bail to the slow path, which owns every edge case. *)
-      (forward t (Ipv4.peek_header frame) (Ipv4.payload_of frame)
-      [@fastpath.exempt])
+  | Some _ | None -> (forward t frame [@fastpath.exempt])
 [@@fastpath]
-
-(* The legacy road, kept as E13's baseline and test_ip's oracle: decode
-   (copying the payload), then deliver or forward by decode/re-encode. *)
-let receive_slow t frame =
-  match Ipv4.decode frame with
-  | Error _ ->
-      t.c.dropped_malformed <- t.c.dropped_malformed + 1;
-      trace_drop t ~src:Addr.any ~dst:Addr.any Trace.Event.Malformed
-  | Ok (h, payload) ->
-      t.c.received <- t.c.received + 1;
-      if has_addr t h.Ipv4.dst then deliver_local t h payload
-      else if t.fwd then forward t h payload
-      else begin
-        t.c.dropped_not_forwarding <- t.c.dropped_not_forwarding + 1;
-        trace_drop t ~src:h.Ipv4.src ~dst:h.Ipv4.dst
-          Trace.Event.Not_forwarding
-      end
 
 let receive t ~iface:_ frame =
   (match t.tap with Some f -> f ~rx:true frame | None -> ());
-  if not t.fast then (receive_slow t frame [@fastpath.exempt])
-  else if not (Ipv4.valid frame) then begin
+  if not (Ipv4.valid frame) then begin
     t.c.dropped_malformed <- t.c.dropped_malformed + 1;
     trace_drop t ~src:Addr.any ~dst:Addr.any Trace.Event.Malformed
   end
   else begin
     t.c.received <- t.c.received + 1;
-    if has_addr t (Ipv4.peek_dst frame) then deliver_frame t frame
+    if has_addr t (Ipv4.peek_dst frame) then
+      if Ipv4.peek_more_fragments frame || Ipv4.peek_frag_offset frame <> 0
+      then (deliver_fragment t frame [@fastpath.exempt])
+      else deliver t frame
     else if t.fwd then forward_fast t frame
     else begin
       t.c.dropped_not_forwarding <- t.c.dropped_not_forwarding + 1;
@@ -469,22 +445,22 @@ let payload_of_frame frame =
 (* The caller hands over a full frame whose first [Ipv4.header_size]
    bytes are a reserved prefix and whose transport segment is already in
    place after it.  On the common road — routed out an interface, fits
-   the MTU — the IP header is written into the prefix field by field and
-   the very same buffer is transmitted: the frame is all a send
-   allocates.  Loopback and fragmentation fall back to the [emit]
-   machinery, which needs a materialized payload anyway. *)
+   the MTU — and on loopback, the IP header is written into the prefix
+   field by field and the very same buffer is transmitted or delivered:
+   the frame is all a send allocates.  Fragmentation falls back to the
+   [emit] machinery, which needs a materialized payload anyway.  A
+   datagram longer than its header's length field can say is no
+   datagram at all. *)
 let send_frame t ?(tos = Ipv4.Tos.Routine) ?(ttl = 64) ?(dont_fragment = false)
     ?src ~proto ~dst frame =
-  if has_addr t dst then begin
+  if Bytes.length frame > Ipv4.max_datagram then Error `Too_big
+  else if has_addr t dst then begin
     (* Loopback: deliver through the engine so ordering matches the wire. *)
     let src = match src with Some s -> s | None -> primary_addr t in
-    let h =
-      Ipv4.make_header ~tos ~id:(fresh_id t) ~dont_fragment ~ttl ~proto ~src
-        ~dst ()
-    in
+    Ipv4.encode_fields frame ~tos ~id:(fresh_id t) ~dont_fragment
+      ~more_fragments:false ~frag_offset:0 ~ttl ~proto ~src ~dst;
     t.c.sent <- t.c.sent + 1;
-    let payload = payload_of_frame frame in
-    Engine.after t.eng 1 (fun () -> deliver_local t h payload);
+    Engine.after t.eng 1 (fun () -> deliver t frame);
     Ok ()
   end
   else
@@ -521,7 +497,7 @@ let send t ?tos ?ttl ?dont_fragment ?src ~proto ~dst payload =
   Bytes.blit payload 0 frame Ipv4.header_size len;
   send_frame t ?tos ?ttl ?dont_fragment ?src ~proto ~dst frame
 
-let icmp_unreachable t h payload code = report_unreachable t h payload code
+let icmp_unreachable t frame code = report_unreachable t frame code
 
 let send_echo_request t ~dst ~id ~seq ~payload =
   let msg = Icmp.Echo_request { id; seq; payload } in
@@ -586,7 +562,6 @@ let create ?(forwarding = false) net node =
       table = Route_table.create ();
       iface_addrs = [];
       protos = [];
-      frame_protos = [];
       error_handlers = [];
       echo_reply_handler = None;
       reasm = Reassembly.create ~node eng;

@@ -36,6 +36,8 @@ type counters = {
 }
 
 type send_error = [ `No_route | `Too_big ]
+(** [`Too_big]: longer than {!Ipv4.max_datagram}, or needing
+    fragmentation with DF set. *)
 
 val create : ?forwarding:bool -> Netsim.t -> Netsim.node_id -> t
 (** Attach an IP stack to a node.  [forwarding] defaults to [false]
@@ -61,13 +63,14 @@ val set_forwarding : t -> bool -> unit
 val forwarding : t -> bool
 
 val set_fast_path : t -> bool -> unit
-(** The fast path (default on) reads every header field in place and
-    forwards transit datagrams by patching TTL and checksum in the
-    received frame (RFC 1624) and retransmitting the same bytes.
-    Switching it off restores the legacy decode/re-encode path.  Both
-    roads look every route up in the {!Route_table} trie.  The switch
-    exists only as a differential oracle: test_ip checks the two roads
-    agree, and E13 measures one against the other. *)
+(** Pick the forwarding road.  The fast path (default on) forwards
+    transit datagrams by patching TTL and checksum in the received frame
+    (RFC 1624) and retransmitting the same bytes; switched off, every
+    transit datagram takes the legacy decode/re-encode road.  Both roads
+    look every route up in the {!Route_table} trie.  Local delivery is
+    the same either way.  The switch exists only as a differential
+    oracle: test_ip checks the two roads agree, and E13 measures one
+    against the other. *)
 
 val fast_path : t -> bool
 
@@ -75,25 +78,26 @@ val receive : t -> iface:Netsim.iface -> bytes -> unit
 (** Hand a raw frame to the stack, exactly as the netsim delivery handler
     does.  Exposed so tests and instrumentation can interpose on a node's
     handler (e.g. to observe per-hop frames) and still feed the stack.
-    On the fast path, forwarding (route lookup included) allocates
-    nothing; local delivery of an unfragmented datagram skips reassembly
-    and allocates only the {!Ipv4.header} its upcall takes (plus the
-    payload copy for a plain {!register_proto} upcall). *)
+    Fast-path forwarding (route lookup included) and the local delivery
+    of an unfragmented datagram to a {!register_proto_frame} upcall
+    allocate nothing.  A fragment that would end past
+    {!Ipv4.max_datagram} is dropped as malformed before reassembly. *)
+
+val register_proto_frame : t -> Ipv4.Proto.t -> (bytes -> unit) -> unit
+(** Install the upcall for a transport protocol.  It receives every
+    datagram for that protocol addressed to this stack — received whole,
+    reassembled, or looped back — as one valid frame: the IP header,
+    read in place with the {!Ipv4} [peek_*] readers, then the transport
+    data from {!Ipv4.header_size} up to {!Ipv4.peek_total_len}, never up
+    to [Bytes.length] (a frame may carry link padding).  The frame is
+    the upcall's to keep.  ICMP is handled internally (echo responder,
+    error dispatch) and cannot be overridden. *)
 
 val register_proto : t -> Ipv4.Proto.t -> (Ipv4.header -> bytes -> unit) -> unit
-(** Install the upcall for a transport protocol.  ICMP is handled
-    internally (echo responder, error dispatch) and cannot be overridden. *)
-
-val register_proto_frame :
-  t -> Ipv4.Proto.t -> (Ipv4.header -> bytes -> pos:int -> unit) -> unit
-(** Optional zero-copy overlay on {!register_proto}: on the receive fast
-    path, an unfragmented datagram for a protocol with a frame handler is
-    delivered as the whole received frame with the payload starting at
-    [pos], sparing the payload copy.  Fragmented datagrams, loopback
-    sends and the slow path still use the plain [register_proto]
-    handler, which must also be installed.  Accounting no longer forces
-    the slow road: enabled ledgers are fed by [Accounting.record_fast]
-    straight off the frame. *)
+(** A copying adapter over {!register_proto_frame}: the upcall gets the
+    datagram's header as a record and a copy of its payload, two
+    allocations per datagram.  Kept for benchmarks and tests written
+    against it. *)
 
 val add_error_handler :
   t -> (from:Addr.t -> Packet.Icmp_wire.t -> unit) -> unit
@@ -117,9 +121,10 @@ val send :
   (unit, send_error) result
 (** Originate a datagram.  The source address defaults to the outgoing
     interface's address.  Local destinations loop back through the engine
-    (asynchronously, like everything else).  A routed datagram that fits
-    the MTU allocates exactly its frame: the header is written in front of
-    a copy of the payload, and that buffer is transmitted. *)
+    (asynchronously, like everything else).  A datagram that loops back,
+    or is routed and fits the MTU, allocates exactly its frame: the
+    header is written in front of a copy of the payload, and that buffer
+    is delivered or transmitted. *)
 
 val send_frame :
   t ->
@@ -133,18 +138,20 @@ val send_frame :
   (unit, send_error) result
 (** Like {!send}, but the argument is a whole frame: the first
     [Ipv4.header_size] bytes are a reserved prefix the stack fills in, and
-    the transport payload already sits after it.  When the datagram is
-    routed out an interface and fits the MTU, the frame is transmitted as
-    is — no payload copy, no re-encode.  Loopback and fragmentation fall
-    back to the copying path.  Transports use this to emit segments built
-    allocation-free with the wire modules' [encode_into]. *)
+    the transport payload already sits after it.  When the datagram loops
+    back, or is routed out an interface and fits the MTU, the header is
+    written into the prefix and the frame itself is delivered or
+    transmitted — no payload copy, no re-encode; the frame is the
+    stack's from then on.  Fragmentation falls back to the copying path.
+    Transports use this to emit segments built allocation-free with the
+    wire modules' [encode_into]. *)
 
 val send_echo_request : t -> dst:Addr.t -> id:int -> seq:int -> payload:bytes -> unit
 
-val icmp_unreachable :
-  t -> Ipv4.header -> bytes -> Packet.Icmp_wire.unreach_code -> unit
-(** For transports: report a received datagram (header plus payload) as
-    undeliverable back to its source, e.g. UDP port unreachable. *)
+val icmp_unreachable : t -> bytes -> Packet.Icmp_wire.unreach_code -> unit
+(** For transports: report a datagram delivered to an upcall (its whole
+    frame) as undeliverable back to its source, e.g. UDP port
+    unreachable. *)
 
 val counters : t -> counters
 
@@ -152,8 +159,8 @@ val enable_accounting : ?mode:Accounting.mode -> t -> Accounting.t
 (** Start attributing every datagram forwarded (or locally delivered) by
     this stack to flows; returns the live ledger.  Default mode is
     [Exact]; pass [Sketch _] for scale runs — sketch-mode attribution is
-    allocation-free, so datagrams stay on [forward_fast] and the
-    frame-handler delivery road with accounting enabled. *)
+    allocation-free, so forwarding and delivery allocate nothing more
+    with accounting enabled. *)
 
 val accounting : t -> Accounting.t option
 (** The ledger, if {!enable_accounting} has been called. *)

@@ -161,6 +161,7 @@ let valid buf =
 [@@fastpath]
 
 let peek_tos buf = Tos.of_int (Bytes.get_uint8 buf 1) [@@fastpath]
+let peek_total_len buf = Bytes.get_uint16_be buf 2 [@@fastpath]
 let peek_id buf = Bytes.get_uint16_be buf 4 [@@fastpath]
 let peek_flags buf = Bytes.get_uint16_be buf 6 [@@fastpath]
 let peek_frag_offset buf = (peek_flags buf land 0x1fff) * 8 [@@fastpath]
@@ -198,8 +199,7 @@ let peek buf =
   | Bad_sum -> Error `Bad_checksum
 
 let payload_of buf =
-  let total = Bytes.get_uint16_be buf 2 in
-  Bytes.sub buf header_size (total - header_size)
+  Bytes.sub buf header_size (peek_total_len buf - header_size)
 
 let decode buf =
   match peek buf with

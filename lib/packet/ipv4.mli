@@ -124,6 +124,12 @@ val peek_header : bytes -> header
 (** The header of a valid frame, as {!peek} returns it. *)
 
 val peek_tos : bytes -> Tos.t
+
+val peek_total_len : bytes -> int
+(** The datagram's length, header included.  A frame may be longer
+    (link padding); its datagram ends here, and so does every read of
+    its payload. *)
+
 val peek_id : bytes -> int
 val peek_frag_offset : bytes -> int
 val peek_more_fragments : bytes -> bool

@@ -414,8 +414,7 @@ let parse_options buf ~pos ~len =
    receive fast path reads the few fields it needs straight from the
    buffer via the [peek_*] accessors below and only falls back to
    {!of_peeked} when full dispatch is required. *)
-let peek ~src ~dst ?(pos = 0) buf =
-  let len = Bytes.length buf - pos in
+let peek ~src ~dst buf ~pos ~len =
   if len < 20 then Error `Truncated
   else begin
     let off_flags = Bytes.get_uint16_be buf (pos + 12) in
@@ -474,7 +473,7 @@ let of_peeked buf ~data_offset =
         }
 
 let decode ~src ~dst buf =
-  match peek ~src ~dst buf with
+  match peek ~src ~dst buf ~pos:0 ~len:(Bytes.length buf) with
   | Error _ as e -> e
   | Ok data_offset -> of_peeked buf ~data_offset
 

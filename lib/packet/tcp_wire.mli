@@ -135,14 +135,15 @@ val encode_into :
     over the whole segment in one pass.  Returns the total segment length.
     Output is byte-for-byte identical to {!encode}. *)
 
-val peek : src:Addr.t -> dst:Addr.t -> ?pos:int -> bytes -> (int, error) result
+val peek :
+  src:Addr.t -> dst:Addr.t -> bytes -> pos:int -> len:int -> (int, error) result
 (** Validate length, data offset and checksum — everything {!decode}
     checks — without allocating a [t]; returns the data offset (payload
-    start, relative to the segment).  [pos] (default 0) is where the
-    segment begins in the buffer, so a whole IP frame can be peeked
-    without first carving the TCP payload out of it.  Combined with the
-    [peek_*] accessors this lets a receive fast path read header fields
-    in place. *)
+    start, relative to the segment).  The segment is the [len] bytes at
+    [pos], so a whole IP frame can be peeked without first carving the
+    TCP payload out of it, the IP total length bounding the segment.
+    Combined with the [peek_*] accessors this lets a receive fast path
+    read header fields in place. *)
 
 val of_peeked : bytes -> data_offset:int -> (t, error) result
 (** Finish a {!peek} into a full [t] (option parse + payload copy); the

@@ -57,9 +57,10 @@ let encode_into ~src ~dst ~src_port ~dst_port ~payload_len buf ~pos =
   Bytes.set_uint16_be buf (pos + 6) (if csum = 0 then 0xffff else csum);
   total
 
-let decode ?(pos = 0) ~src ~dst buf =
-  if pos < 0 then invalid_arg "Udp_wire.decode: negative pos";
-  let len = Bytes.length buf - pos in
+(* [pos] and [len] are plain labels: an optional argument is boxed at
+   every call from another module. *)
+let peek ~src ~dst buf ~pos ~len =
+  if pos < 0 then invalid_arg "Udp_wire.peek: negative pos";
   if len < header_size then Error `Truncated
   else begin
     let declared = Bytes.get_uint16_be buf (pos + 4) in
@@ -70,16 +71,23 @@ let decode ?(pos = 0) ~src ~dst buf =
       in
       if not (Checksum.valid ~acc buf ~pos ~len:declared) then
         Error `Bad_checksum
-      else
-        Ok
-          {
-            src_port = Bytes.get_uint16_be buf pos;
-            dst_port = Bytes.get_uint16_be buf (pos + 2);
-            payload =
-              Bytes.sub buf (pos + header_size) (declared - header_size);
-          }
+      else Ok declared
     end
   end
+
+let peek_src_port buf ~pos = Bytes.get_uint16_be buf pos [@@fastpath]
+let peek_dst_port buf ~pos = Bytes.get_uint16_be buf (pos + 2) [@@fastpath]
+
+let decode ?(pos = 0) ~src ~dst buf =
+  match peek ~src ~dst buf ~pos ~len:(Bytes.length buf - pos) with
+  | Error _ as e -> e
+  | Ok declared ->
+      Ok
+        {
+          src_port = peek_src_port buf ~pos;
+          dst_port = peek_dst_port buf ~pos;
+          payload = Bytes.sub buf (pos + header_size) (declared - header_size);
+        }
 
 let pp fmt t =
   Format.fprintf fmt "udp %d>%d len=%d" t.src_port t.dst_port

@@ -37,11 +37,22 @@ val encode_into :
     the header is written around it.  Returns the total datagram length.
     Output is byte-for-byte identical to {!encode}. *)
 
+val peek :
+  src:Addr.t -> dst:Addr.t -> bytes -> pos:int -> len:int -> (int, error) result
+(** Validate the datagram that starts at [pos] within the [len] bytes
+    there, e.g. the transport part of a received IP frame, bounded by the
+    IP total length: its length field, then its checksum, over the buffer
+    in place.  Returns the datagram's length, header included; its
+    payload is the bytes from [pos + header_size] up to [pos] plus that
+    length.  Nothing is copied or allocated but the result.
+    @raise Invalid_argument on a negative [pos]. *)
+
+val peek_src_port : bytes -> pos:int -> int
+val peek_dst_port : bytes -> pos:int -> int
+
 val decode :
   ?pos:int -> src:Addr.t -> dst:Addr.t -> bytes -> (t, error) result
-(** Decode the datagram that starts at [pos] (default 0) and runs at most
-    to the end of the buffer, e.g. the transport part of a received IP
-    frame.  The checksum is checked over the buffer in place; the payload
-    is the one copy made.  @raise Invalid_argument on a negative [pos]. *)
+(** {!peek} (with [len] the rest of the buffer), then a copy of the
+    payload into a [t]. *)
 
 val pp : Format.formatter -> t -> unit

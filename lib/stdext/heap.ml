@@ -4,10 +4,6 @@ type 'a t = { mutable data : 'a entry array; mutable size : int }
 
 let create () = { data = [||]; size = 0 }
 
-let length t = t.size [@@fastpath]
-
-let is_empty t = t.size = 0 [@@fastpath]
-
 let less a b = a.key < b.key || (a.key = b.key && a.seq < b.seq) [@@fastpath]
 
 let grow t =
@@ -68,36 +64,3 @@ let pop t =
     end;
     Some (top.key, top.seq, top.value)
   end
-
-let peek t =
-  if t.size = 0 then None
-  else
-    let top = t.data.(0) in
-    Some (top.key, top.seq, top.value)
-
-let min_key t =
-  if t.size = 0 then raise Not_found;
-  t.data.(0).key
-[@@fastpath]
-
-let min_seq t =
-  if t.size = 0 then raise Not_found;
-  t.data.(0).seq
-[@@fastpath]
-
-let pop_min t =
-  if t.size = 0 then raise Not_found;
-  let top = t.data.(0) in
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.data.(0) <- t.data.(t.size);
-    sift_down t
-  end;
-  top.value
-[@@fastpath]
-
-let clear t =
-  (* Keep the backing array: a cleared queue is about to be refilled, and
-     regrowing from scratch is churn.  Stale entries above [size] are never
-     read and are overwritten by subsequent pushes. *)
-  t.size <- 0

@@ -476,8 +476,9 @@ let send_challenge_ack c =
     send_ack c
   end
 
-(* Send a RST in reply to an orphan segment (RFC 793 p.36). *)
-let send_rst_for t ~(ip : Ipv4.header) (seg : Wire.t) =
+(* Send a RST in reply to an orphan segment (RFC 793 p.36) that [src]
+   sent to [dst]. *)
+let send_rst_for t ~src ~dst (seg : Wire.t) =
   if not seg.Wire.flags.Wire.rst then begin
     t.gstats.resets_out <- t.gstats.resets_out + 1;
     let seg_len =
@@ -496,12 +497,8 @@ let send_rst_for t ~(ip : Ipv4.header) (seg : Wire.t) =
           ~flags:(Wire.flags ~rst:true ~ack:true ())
           ~src_port:seg.Wire.dst_port ~dst_port:seg.Wire.src_port ()
     in
-    let bytes =
-      Wire.encode ~src:ip.Ipv4.dst ~dst:ip.Ipv4.src reply
-    in
-    ignore
-      (Ip.Stack.send t.ip ~src:ip.Ipv4.dst ~proto:Ipv4.Proto.Tcp
-         ~dst:ip.Ipv4.src bytes)
+    let bytes = Wire.encode ~src:dst ~dst:src reply in
+    ignore (Ip.Stack.send t.ip ~src:dst ~proto:Ipv4.Proto.Tcp ~dst:src bytes)
   end
 
 let abort c =
@@ -791,7 +788,7 @@ let resume_reading c =
 
 (* Delivery -------------------------------------------------------------- *)
 
-let deliver_data c data =
+let deliver_to_app c data =
   c.cstats.bytes_in <- c.cstats.bytes_in + Bytes.length data;
   if c.paused then Buffer.add_bytes c.recvq data
   else
@@ -946,7 +943,7 @@ let rec accept_text c seq payload fin =
   let len = Bytes.length payload in
   if len > 0 then begin
     c.rcv_nxt <- Seq.add c.rcv_nxt len;
-    deliver_data c payload
+    deliver_to_app c payload
   end;
   ignore seq;
   if fin then begin
@@ -1327,12 +1324,12 @@ let close_listener l =
     Hashtbl.remove l.l_tcp.listeners l.l_port
   end
 
-(* Passive open from a listener. *)
-let passive_open t l ~(ip : Ipv4.header) (seg : Wire.t) =
+(* Passive open from a listener, for a SYN [src] sent to [dst]. *)
+let passive_open t l ~src ~dst (seg : Wire.t) =
   t.gstats.passive_opens <- t.gstats.passive_opens + 1;
   let c =
-    make_conn t ~cfg:t.default_cfg ~local_addr:ip.Ipv4.dst
-      ~local_port:seg.Wire.dst_port ~remote_addr:ip.Ipv4.src
+    make_conn t ~cfg:t.default_cfg ~local_addr:dst
+      ~local_port:seg.Wire.dst_port ~remote_addr:src
       ~remote_port:seg.Wire.src_port ~via_listener:(Some l) ~st:Syn_received
       ~iss:(fresh_iss t)
   in
@@ -1419,7 +1416,7 @@ let fast_data c ~seq ~ack buf ~pos ~plen =
   end;
   c.rcv_nxt <- Seq.add c.rcv_nxt plen;
   (* The one payload-sized copy the fast path is allowed (wire -> app). *)
-  (deliver_data c (Bytes.sub buf (pos + 20) plen) [@fastpath.exempt]);
+  (deliver_to_app c (Bytes.sub buf (pos + 20) plen) [@fastpath.exempt]);
   c.ack_pending <- c.ack_pending + 1;
   if c.ack_pending >= 2 then (send_ack c [@fastpath.exempt])
   else if c.delack_timer = None then
@@ -1432,11 +1429,11 @@ let fast_data c ~seq ~ack buf ~pos ~plen =
   (output c [@fastpath.exempt])
 [@@fastpath]
 
-(* [buf] holds, at [pos], a checksum-valid segment with a bare 20-byte
-   header and only ACK/PSH set.  Returns [true] if it was consumed on the
-   fast path. *)
-let try_fast c buf ~pos =
-  let plen = Bytes.length buf - pos - 20 in
+(* [buf] holds, at [pos], a checksum-valid [len]-byte segment with a bare
+   20-byte header and only ACK/PSH set.  Returns [true] if it was consumed
+   on the fast path. *)
+let try_fast c buf ~pos ~len =
+  let plen = len - 20 in
   let seq = Wire.peek_seq ~pos buf in
   if seq <> c.rcv_nxt || Wire.peek_window ~pos buf lsl c.snd_wscale <> c.snd_wnd
   then false
@@ -1456,12 +1453,10 @@ let try_fast c buf ~pos =
   end
 [@@fastpath]
 
-(* Full dispatch: connection lookup, the RFC 793 state machine, listeners
-   and orphan RSTs. *)
-let dispatch_segment t (ip : Ipv4.header) (seg : Wire.t) =
-  let key : key =
-    (ip.Ipv4.dst, seg.Wire.dst_port, ip.Ipv4.src, seg.Wire.src_port)
-  in
+(* Full dispatch of a segment [src] sent to [dst]: connection lookup, the
+   RFC 793 state machine, listeners and orphan RSTs. *)
+let dispatch_segment t ~src ~dst (seg : Wire.t) =
+  let key : key = (dst, seg.Wire.dst_port, src, seg.Wire.src_port) in
   match Hashtbl.find_opt t.conns key with
   | Some c -> (
       match c.st with
@@ -1476,52 +1471,49 @@ let dispatch_segment t (ip : Ipv4.header) (seg : Wire.t) =
         when l.l_open && seg.Wire.flags.Wire.syn
              && (not seg.Wire.flags.Wire.ack)
              && not seg.Wire.flags.Wire.rst ->
-          passive_open t l ~ip seg
+          passive_open t l ~src ~dst seg
       | Some _ | None ->
           t.gstats.no_listener <- t.gstats.no_listener + 1;
-          send_rst_for t ~ip seg)
+          send_rst_for t ~src ~dst seg)
 
-(* IP upcall.  [buf] holds the segment starting at [pos]: the IP layer's
-   frame handler passes the received frame itself ([pos] past the IP
-   header), so a predicted segment goes from wire to receive buffer with
-   a single payload-sized copy; the plain handler passes a materialized
-   segment at [pos] 0.  Off the fast path the segment is carved out once
-   and handed to the legacy decode road. *)
-let handle_at t (ip : Ipv4.header) buf ~pos =
-  let segment () =
-    if pos = 0 then buf else Bytes.sub buf pos (Bytes.length buf - pos)
-  in
+(* IP upcall: [frame] is the whole datagram, its segment running from
+   [Ipv4.header_size] to the IP total length, and the addresses are read
+   in place.  A predicted segment goes from wire to receive buffer with a
+   single payload-sized copy; any other is carved out once for the full
+   decode. *)
+let input t frame =
+  let src = Ipv4.peek_src frame and dst = Ipv4.peek_dst frame in
+  let pos = Ipv4.header_size in
+  let len = Ipv4.peek_total_len frame - pos in
   if t.fast then begin
-    match Wire.peek ~src:ip.Ipv4.src ~dst:ip.Ipv4.dst ~pos buf with
+    match Wire.peek ~src ~dst frame ~pos ~len with
     | Error _ -> t.gstats.bad_segments <- t.gstats.bad_segments + 1
     | Ok data_offset ->
         let predicted =
           data_offset = 20
-          && (let bits = Wire.peek_flag_bits ~pos buf in
+          && (let bits = Wire.peek_flag_bits ~pos frame in
               bits = 0x10 || bits = 0x18)
           &&
           let key : key =
-            ( ip.Ipv4.dst,
-              Wire.peek_dst_port ~pos buf,
-              ip.Ipv4.src,
-              Wire.peek_src_port ~pos buf )
+            ( dst,
+              Wire.peek_dst_port ~pos frame,
+              src,
+              Wire.peek_src_port ~pos frame )
           in
           match Hashtbl.find_opt t.conns key with
-          | Some c when c.st = Established -> try_fast c buf ~pos
+          | Some c when c.st = Established -> try_fast c frame ~pos ~len
           | Some _ | None -> false
         in
         if not predicted then begin
-          match Wire.of_peeked (segment ()) ~data_offset with
+          match Wire.of_peeked (Bytes.sub frame pos len) ~data_offset with
           | Error _ -> t.gstats.bad_segments <- t.gstats.bad_segments + 1
-          | Ok seg -> dispatch_segment t ip seg
+          | Ok seg -> dispatch_segment t ~src ~dst seg
         end
   end
   else
-    match Wire.decode ~src:ip.Ipv4.src ~dst:ip.Ipv4.dst (segment ()) with
+    match Wire.decode ~src ~dst (Bytes.sub frame pos len) with
     | Error _ -> t.gstats.bad_segments <- t.gstats.bad_segments + 1
-    | Ok seg -> dispatch_segment t ip seg
-
-let handle t ip payload = handle_at t ip payload ~pos:0
+    | Ok seg -> dispatch_segment t ~src ~dst seg
 
 (* ICMP destination-unreachable quoting one of our SYNs is a hard error:
    abort the embryonic connection (BSD semantics).  The quote is the
@@ -1573,9 +1565,7 @@ let create ?(config = default_config) ip =
       fast = true;
     }
   in
-  Ip.Stack.register_proto ip Ipv4.Proto.Tcp (handle t);
-  Ip.Stack.register_proto_frame ip Ipv4.Proto.Tcp (fun h frame ~pos ->
-      handle_at t h frame ~pos);
+  Ip.Stack.register_proto_frame ip Ipv4.Proto.Tcp (input t);
   Ip.Stack.add_error_handler ip (fun ~from:_ msg -> handle_icmp_error t msg);
   t
 

@@ -59,18 +59,24 @@ let metrics_items t () =
     ("eph_exhausted", Trace.Metrics.Int t.stats.eph_exhausted) ]
 let port s = s.sock_port
 
-let handle t (h : Ipv4.header) payload =
-  match Wire.decode ~src:h.Ipv4.src ~dst:h.Ipv4.dst payload with
+(* IP upcall: the datagram is read in place from the frame, bounded by
+   the IP total length; only a delivered payload is copied. *)
+let handle t frame =
+  let src = Ipv4.peek_src frame and pos = Ipv4.header_size in
+  match
+    Wire.peek ~src ~dst:(Ipv4.peek_dst frame) frame ~pos
+      ~len:(Ipv4.peek_total_len frame - pos)
+  with
   | Error _ -> t.stats.bad <- t.stats.bad + 1
-  | Ok dgram -> (
-      match Hashtbl.find_opt t.ports dgram.Wire.dst_port with
+  | Ok len -> (
+      match Hashtbl.find_opt t.ports (Wire.peek_dst_port frame ~pos) with
       | Some sock when sock.open_ ->
           t.stats.datagrams_in <- t.stats.datagrams_in + 1;
-          sock.recv ~src:h.Ipv4.src ~src_port:dgram.Wire.src_port
-            dgram.Wire.payload
+          sock.recv ~src ~src_port:(Wire.peek_src_port frame ~pos)
+            (Bytes.sub frame (pos + Wire.header_size) (len - Wire.header_size))
       | Some _ | None ->
           t.stats.no_port <- t.stats.no_port + 1;
-          Ip.Stack.icmp_unreachable t.ip h payload
+          Ip.Stack.icmp_unreachable t.ip frame
             Packet.Icmp_wire.Port_unreachable)
 
 let create ip =
@@ -92,7 +98,7 @@ let create ip =
         };
     }
   in
-  Ip.Stack.register_proto ip Ipv4.Proto.Udp (handle t);
+  Ip.Stack.register_proto_frame ip Ipv4.Proto.Udp (handle t);
   t
 
 let ephemeral_lo = 49152

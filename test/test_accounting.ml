@@ -42,13 +42,7 @@ let payload_of p =
 
 let frame_of p = Ipv4.encode (header_of p) ~payload:(payload_of p)
 
-let feed_record acc p =
-  Acct.record acc (header_of p) ~payload:(payload_of p)
-    ~wire_bytes:(Ipv4.header_size + Bytes.length (payload_of p))
-
-let feed_fast acc p =
-  let frame = frame_of p in
-  Acct.record_fast acc ~frame
+let feed acc p = Acct.record acc ~frame:(frame_of p)
 
 (* A zipf-ish flow population: flow k of [flows] is picked with weight
    ~ 1/(k+1), so a handful of head flows carry most packets while the
@@ -92,8 +86,8 @@ let prop_never_underestimates =
       let trace = zipf_trace ~seed ~flows ~packets in
       let exact = Acct.create ~mode:Acct.Exact () in
       let sketch = Acct.create ~mode:sketch_mode () in
-      List.iter (feed_record exact) trace;
-      List.iter (feed_fast sketch) trace;
+      List.iter (feed exact) trace;
+      List.iter (feed sketch) trace;
       List.for_all
         (fun (f, (u : Acct.usage)) ->
           match Acct.lookup sketch f with
@@ -108,8 +102,8 @@ let prop_topk_error =
       let trace = zipf_trace ~seed ~flows ~packets in
       let exact = Acct.create ~mode:Acct.Exact () in
       let sketch = Acct.create ~mode:sketch_mode () in
-      List.iter (feed_record exact) trace;
-      List.iter (feed_fast sketch) trace;
+      List.iter (feed exact) trace;
+      List.iter (feed sketch) trace;
       let top = Acct.flows ~limit:20 exact in
       let num, den =
         List.fold_left
@@ -131,8 +125,8 @@ let prop_totals_exact =
       let trace = zipf_trace ~seed ~flows ~packets in
       let exact = Acct.create ~mode:Acct.Exact () in
       let sketch = Acct.create ~mode:sketch_mode () in
-      List.iter (feed_record exact) trace;
-      List.iter (feed_fast sketch) trace;
+      List.iter (feed exact) trace;
+      List.iter (feed sketch) trace;
       let te = Acct.total exact and ts = Acct.total sketch in
       te.Acct.packets = ts.Acct.packets && te.Acct.bytes = ts.Acct.bytes)
 
@@ -141,7 +135,7 @@ let prop_totals_exact =
 let test_rotation_resets () =
   let acc = Acct.create ~mode:sketch_mode () in
   let trace = zipf_trace ~seed:7 ~flows:50 ~packets:500 in
-  List.iter (feed_fast acc) trace;
+  List.iter (feed acc) trace;
   check Alcotest.bool "counted something" true ((Acct.total acc).Acct.packets > 0);
   check Alcotest.bool "tracking flows" true (Acct.tracked_count acc > 0);
   Acct.rotate acc;
@@ -151,13 +145,13 @@ let test_rotation_resets () =
   check Alcotest.int "tracker reset" 0 (Acct.tracked_count acc);
   (* the next epoch accumulates from scratch, unpolluted *)
   let p = { src = 0x0A000001; dst = 0x0A010001; sp = 1024; dp = 2048; len = 40 } in
-  feed_fast acc p;
+  feed acc p;
   (match Acct.flows acc with
   | [ (_, u) ] -> check Alcotest.int "fresh flow has 1 packet" 1 u.Acct.packets
   | l -> Alcotest.failf "expected 1 flow after rotation, got %d" (List.length l));
   (* exact mode rotates too *)
   let ex = Acct.create () in
-  feed_record ex p;
+  feed ex p;
   Acct.rotate ex;
   check Alcotest.int "exact ledger reset" 0 (Acct.flow_count ex);
   check Alcotest.int "exact epoch advanced" 1 (Acct.epoch ex)
@@ -167,7 +161,7 @@ let test_rotation_resets () =
 let test_rotation_history () =
   let acc = Acct.create ~mode:sketch_mode ~history:2 () in
   let trace = zipf_trace ~seed:11 ~flows:40 ~packets:400 in
-  List.iter (feed_fast acc) trace;
+  List.iter (feed acc) trace;
   let before = Acct.total acc in
   Acct.rotate acc;
   (match Acct.history acc with
@@ -186,7 +180,7 @@ let test_rotation_history () =
       | _ -> ())
   | l -> Alcotest.failf "expected 1 snapshot, got %d" (List.length l));
   (* the bound holds: rotating past [history] drops the oldest *)
-  feed_fast acc { src = 1; dst = 2; sp = 3; dp = 4; len = 99 };
+  feed acc { src = 1; dst = 2; sp = 3; dp = 4; len = 99 };
   Acct.rotate acc;
   Acct.rotate acc;
   Acct.rotate acc;
@@ -205,26 +199,26 @@ let test_rotation_history () =
   | _ -> Alcotest.fail "to_json not an object");
   (* history:0 disables retention entirely *)
   let off = Acct.create ~history:0 () in
-  feed_record off { src = 1; dst = 2; sp = 3; dp = 4; len = 10 };
+  feed off { src = 1; dst = 2; sp = 3; dp = 4; len = 10 };
   Acct.rotate off;
   check Alcotest.int "history 0 retains nothing" 0
     (List.length (Acct.history off))
 
-(* Sketch-mode [record_fast] must not allocate: it is what lets
+(* Sketch-mode [record] must not allocate: it is what lets
    accounting ride [forward_fast].  Same Gc discipline as the
    route-cache and trie lookup tests. *)
 let test_record_fast_allocation_free () =
   let acc = Acct.create ~mode:sketch_mode () in
   let p = { src = 0x0A000001; dst = 0x0A010001; sp = 5555; dp = 80; len = 64 } in
   let frame = frame_of p in
-  Acct.record_fast acc ~frame;
+  Acct.record acc ~frame;
   let a0 = Gc.allocated_bytes () in
   for _ = 1 to 1000 do
-    Acct.record_fast acc ~frame
+    Acct.record acc ~frame
   done;
   let per = (Gc.allocated_bytes () -. a0) /. 1000.0 in
   check Alcotest.bool
-    (Printf.sprintf "record_fast allocates nothing (%.1f B/op)" per)
+    (Printf.sprintf "record allocates nothing (%.1f B/op)" per)
     true (per < 1.0)
 
 (* Portless flows must not alias: ICMP, unknown protocols and non-first
@@ -233,25 +227,23 @@ let test_record_fast_allocation_free () =
 let test_portless_no_aliasing () =
   let acc = Acct.create () in
   let mk ~src ~proto ?(frag_offset = 0) () =
-    Ipv4.make_header ~proto
-      ~src:(Addr.of_int src)
-      ~dst:(Addr.of_int 0x0A010001)
-      ~frag_offset ()
+    Ipv4.encode
+      (Ipv4.make_header ~proto
+         ~src:(Addr.of_int src)
+         ~dst:(Addr.of_int 0x0A010001)
+         ~frag_offset ())
+      ~payload:(Bytes.make 32 'x')
   in
-  let pay = Bytes.make 32 'x' in
   (* two concurrent proto-225 (hostpool) flows from different sources *)
   let pool = Ipv4.Proto.Other Hostpool.proto in
-  Acct.record acc (mk ~src:0x0A000001 ~proto:pool ()) ~payload:pay ~wire_bytes:52;
-  Acct.record acc (mk ~src:0x0A000002 ~proto:pool ()) ~payload:pay ~wire_bytes:52;
-  Acct.record acc (mk ~src:0x0A000001 ~proto:pool ()) ~payload:pay ~wire_bytes:52;
+  Acct.record acc ~frame:(mk ~src:0x0A000001 ~proto:pool ());
+  Acct.record acc ~frame:(mk ~src:0x0A000002 ~proto:pool ());
+  Acct.record acc ~frame:(mk ~src:0x0A000001 ~proto:pool ());
   (* same src pair: ICMP and a TCP fragment tail must stay distinct
      from the pool flow and from each other *)
+  Acct.record acc ~frame:(mk ~src:0x0A000001 ~proto:Ipv4.Proto.Icmp ());
   Acct.record acc
-    (mk ~src:0x0A000001 ~proto:Ipv4.Proto.Icmp ())
-    ~payload:pay ~wire_bytes:52;
-  Acct.record acc
-    (mk ~src:0x0A000001 ~proto:Ipv4.Proto.Tcp ~frag_offset:64 ())
-    ~payload:pay ~wire_bytes:52;
+    ~frame:(mk ~src:0x0A000001 ~proto:Ipv4.Proto.Tcp ~frag_offset:64 ());
   check Alcotest.int "four distinct flows" 4 (Acct.flow_count acc);
   let find_pool src =
     List.find_opt
@@ -278,7 +270,7 @@ let test_portless_no_aliasing () =
 
 let test_to_json_bounded () =
   let acc = Acct.create () in
-  List.iter (feed_record acc) (zipf_trace ~seed:3 ~flows:300 ~packets:2000);
+  List.iter (feed acc) (zipf_trace ~seed:3 ~flows:300 ~packets:2000);
   let count_flows = function
     | Trace.Json.Obj fields -> (
         match List.assoc "flows" fields with

@@ -77,7 +77,7 @@ let record_one t (s, d, sp, dp, len) =
   let payload = Bytes.make len '\000' in
   Bytes.set_uint16_be payload 0 sp;
   Bytes.set_uint16_be payload 2 dp;
-  Acct.record t h ~payload ~wire_bytes:(len + 20)
+  Acct.record t ~frame:(Ipv4.encode h ~payload)
 
 let test_accounting () =
   (* The first two flows tie on bytes: only the flow-identity tie-break

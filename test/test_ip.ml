@@ -388,8 +388,11 @@ let test_datagram_path_allocates_nothing () =
   Ip.Route_table.add (Ip.Stack.table g1)
     { Ip.Route_table.prefix = Prefix.of_string "10.0.3.0/24"; iface = 1;
       next_hop = Some (Addr.v 10 0 2 2); metric = 1 };
+  let b = Ip.Stack.create net nb in
+  Ip.Stack.configure_iface b 0 ~addr:(Addr.v 10 0 3 2) ~prefix_len:24;
   let delivered = ref 0 in
-  Netsim.set_handler net nb (fun ~iface:_ _ -> incr delivered);
+  Ip.Stack.register_proto_frame b (Ipv4.Proto.Other 99) (fun _ ->
+      incr delivered);
   let payload = Bytes.make 64 'z' in
   let dst = Addr.v 10 0 3 2 and proto = Ipv4.Proto.Other 99 in
   let send () =
@@ -410,10 +413,11 @@ let test_datagram_path_allocates_nothing () =
     let w2 = Gc.minor_words () in
     check Alcotest.int "send: the frame" frame_words
       (int_of_float (w1 -. w0));
-    check Alcotest.int "forwarding" 0 (int_of_float (w2 -. w1))
+    check Alcotest.int "forwarding and delivery" 0 (int_of_float (w2 -. w1))
   done;
   check Alcotest.int "all delivered" 12 !delivered;
-  check Alcotest.int "g2 forwarded" 12 (Ip.Stack.counters g2).forwarded
+  check Alcotest.int "g2 forwarded" 12 (Ip.Stack.counters g2).forwarded;
+  check Alcotest.int "b delivered" 12 (Ip.Stack.counters b).delivered
 
 let test_forwarding_sees_table_changes () =
   (* Forward through the gateway, then yank the route: the next datagram
@@ -571,6 +575,51 @@ let test_df_generates_frag_needed () =
   | [ Icmpw.Dest_unreachable { code = Icmpw.Fragmentation_needed; _ } ] -> ()
   | l -> Alcotest.failf "expected fragmentation-needed, got %d" (List.length l)
 
+let test_oversized_fragments_dropped () =
+  (* RFC 791 caps a datagram at 65,535 bytes.  A fragment that would end
+     past the cap is malformed: counted and dropped before reassembly,
+     while a datagram of exactly the cap still reassembles. *)
+  let t = triple () in
+  let got = register_sink t.b in
+  let piece ~id off n ~mf =
+    let h =
+      Ipv4.make_header ~id ~more_fragments:mf ~frag_offset:off
+        ~proto:(Ipv4.Proto.Other 99) ~src:t.a_addr ~dst:t.b_addr ()
+    in
+    Ip.Stack.receive t.b ~iface:0 (Ipv4.encode h ~payload:(Bytes.make n 'f'))
+  in
+  let malformed () = (Ip.Stack.counters t.b).Ip.Stack.dropped_malformed in
+  (* 65,515 payload bytes: 44 pieces of 1480, then 395. *)
+  for k = 0 to 43 do piece ~id:1 (k * 1480) 1480 ~mf:true done;
+  piece ~id:1 65120 395 ~mf:false;
+  check (Alcotest.list Alcotest.int) "a datagram at the cap reassembles"
+    [ 65515 ] (List.map (fun (_, p) -> Bytes.length p) !got);
+  check Alcotest.int "nothing malformed" 0 (malformed ());
+  (* 67,008 payload bytes: the piece at 65,120 and the last one, at the
+     largest offset the field holds, each end past the cap. *)
+  for k = 0 to 44 do piece ~id:2 (k * 1480) 1480 ~mf:true done;
+  piece ~id:2 65528 1480 ~mf:false;
+  check Alcotest.int "nothing more delivered" 1 (List.length !got);
+  check Alcotest.int "both counted malformed" 2 (malformed ());
+  check Alcotest.int "the rest still waits" 1 (Ip.Stack.reassembly_pending t.b)
+
+let test_oversized_send_refused () =
+  (* The length field caps a datagram at 65,535 bytes on every road out:
+     routed (where fragment offsets would overflow their 13 bits) and
+     looped back. *)
+  let t = triple () in
+  let got = register_sink t.a in
+  let send dst n =
+    Ip.Stack.send t.a ~proto:(Ipv4.Proto.Other 99) ~dst (Bytes.make n 'o')
+  in
+  let refused = function Error `Too_big -> true | Ok () | Error _ -> false in
+  check Alcotest.bool "routed" true (refused (send t.b_addr 70_000));
+  check Alcotest.bool "looped back" true (refused (send t.a_addr 70_000));
+  check Alcotest.bool "at the cap" true (send t.a_addr 65_515 = Ok ());
+  Engine.run t.eng;
+  check (Alcotest.list Alcotest.int) "only the datagram at the cap arrives"
+    [ 65_515 ] (List.map (fun (_, p) -> Bytes.length p) !got)
+
 let test_reassembly_timeout_counts () =
   (* Drop one fragment by cutting the link mid-stream, then check the
      reassembly buffer at B expires. *)
@@ -580,7 +629,9 @@ let test_reassembly_timeout_counts () =
     Ipv4.make_header ~id:5 ~more_fragments:true ~proto:(Ipv4.Proto.Other 99)
       ~src:(Addr.v 1 1 1 1) ~dst:(Addr.v 2 2 2 2) ()
   in
-  (match Ip.Reassembly.push reasm h (Bytes.make 8 'a') with
+  (match
+     Ip.Reassembly.push reasm (Ipv4.encode h ~payload:(Bytes.make 8 'a'))
+   with
   | Ip.Reassembly.Incomplete -> ()
   | Ip.Reassembly.Complete _ -> Alcotest.fail "should be incomplete");
   check Alcotest.int "pending" 1 (Ip.Reassembly.pending reasm);
@@ -592,29 +643,33 @@ let test_reassembly_out_of_order_and_overlap () =
   let eng = Engine.create () in
   let reasm = Ip.Reassembly.create eng in
   let mk ~off ~mf payload =
-    ( Ipv4.make_header ~id:9 ~more_fragments:mf ~frag_offset:off
-        ~proto:(Ipv4.Proto.Other 99) ~src:(Addr.v 1 1 1 1)
-        ~dst:(Addr.v 2 2 2 2) (),
-      payload )
+    Ipv4.encode
+      (Ipv4.make_header ~id:9 ~more_fragments:mf ~frag_offset:off
+         ~proto:(Ipv4.Proto.Other 99) ~src:(Addr.v 1 1 1 1)
+         ~dst:(Addr.v 2 2 2 2) ())
+      ~payload:(Bytes.of_string payload)
   in
   (* Total message: 24 bytes in three 8-byte fragments, delivered 2,0,1
      with fragment 1 duplicated. *)
-  let h2, p2 = mk ~off:16 ~mf:false (Bytes.of_string "CCCCCCCC") in
-  let h0, p0 = mk ~off:0 ~mf:true (Bytes.of_string "AAAAAAAA") in
-  let h1, p1 = mk ~off:8 ~mf:true (Bytes.of_string "BBBBBBBB") in
-  (match Ip.Reassembly.push reasm h2 p2 with
+  let f2 = mk ~off:16 ~mf:false "CCCCCCCC" in
+  let f0 = mk ~off:0 ~mf:true "AAAAAAAA" in
+  let f1 = mk ~off:8 ~mf:true "BBBBBBBB" in
+  (match Ip.Reassembly.push reasm f2 with
   | Ip.Reassembly.Incomplete -> ()
   | _ -> Alcotest.fail "incomplete expected");
-  (match Ip.Reassembly.push reasm h0 p0 with
+  (match Ip.Reassembly.push reasm f0 with
   | Ip.Reassembly.Incomplete -> ()
   | _ -> Alcotest.fail "incomplete expected");
-  (match Ip.Reassembly.push reasm h1 p1 with
-  | Ip.Reassembly.Complete data ->
+  (match Ip.Reassembly.push reasm f1 with
+  | Ip.Reassembly.Complete whole ->
+      check Alcotest.bool "one valid frame" true (Ipv4.valid whole);
+      check Alcotest.bool "unfragmented" false
+        (Ipv4.peek_more_fragments whole || Ipv4.peek_frag_offset whole <> 0);
       check Alcotest.string "assembled" "AAAAAAAABBBBBBBBCCCCCCCC"
-        (Bytes.to_string data)
+        (Bytes.to_string (Ipv4.payload_of whole))
   | Ip.Reassembly.Incomplete -> Alcotest.fail "should complete");
   (* A duplicate fragment after completion starts a new buffer. *)
-  match Ip.Reassembly.push reasm h1 p1 with
+  match Ip.Reassembly.push reasm f1 with
   | Ip.Reassembly.Incomplete -> ()
   | _ -> Alcotest.fail "fresh buffer expected"
 
@@ -638,7 +693,8 @@ let prop_fragment_reassemble_identity =
               ~proto:(Ipv4.Proto.Other 99) ~src:(Addr.v 1 1 1 1)
               ~dst:(Addr.v 2 2 2 2) ()
           in
-          frags (off + n) ((h, Bytes.sub payload off n) :: acc)
+          frags (off + n)
+            (Ipv4.encode h ~payload:(Bytes.sub payload off n) :: acc)
         end
       in
       let pieces = Array.of_list (frags 0 []) in
@@ -647,9 +703,10 @@ let prop_fragment_reassemble_identity =
       Stdext.Rng.shuffle rng pieces;
       let result = ref None in
       Array.iter
-        (fun (h, p) ->
-          match Ip.Reassembly.push reasm h p with
-          | Ip.Reassembly.Complete data -> result := Some data
+        (fun frag ->
+          match Ip.Reassembly.push reasm frag with
+          | Ip.Reassembly.Complete whole ->
+              result := Some (Ipv4.payload_of whole)
           | Ip.Reassembly.Incomplete -> ())
         pieces;
       match !result with
@@ -741,6 +798,10 @@ let () =
           Alcotest.test_case "source fragments" `Quick test_source_fragmentation;
           Alcotest.test_case "DF refused" `Quick test_df_generates_frag_needed;
           Alcotest.test_case "timeout" `Quick test_reassembly_timeout_counts;
+          Alcotest.test_case "oversized fragments dropped" `Quick
+            test_oversized_fragments_dropped;
+          Alcotest.test_case "oversized send refused" `Quick
+            test_oversized_send_refused;
           Alcotest.test_case "out of order + dup" `Quick
             test_reassembly_out_of_order_and_overlap;
           qcheck prop_fragment_reassemble_identity;

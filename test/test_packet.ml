@@ -473,7 +473,10 @@ let prop_tcp_peek_matches_decode =
           ~window:(seq_lo land 0xffff) ~payload ~src_port:86 ~dst_port:6502 ()
       in
       let buf = Tcpw.encode ~src ~dst seg in
-      match (Tcpw.peek ~src ~dst buf, Tcpw.decode ~src ~dst buf) with
+      match
+        (Tcpw.peek ~src ~dst buf ~pos:0 ~len:(Bytes.length buf),
+         Tcpw.decode ~src ~dst buf)
+      with
       | Ok data_offset, Ok d ->
           data_offset = 20
           && Tcpw.peek_src_port buf = d.Tcpw.src_port

@@ -148,63 +148,6 @@ let test_heap_fifo_within_key () =
     | None -> Alcotest.fail "heap empty early"
   done
 
-let test_heap_peek () =
-  let h = Stdext.Heap.create () in
-  check Alcotest.bool "empty peek" true (Stdext.Heap.peek h = None);
-  Stdext.Heap.push h ~key:3 ~seq:0 "x";
-  Stdext.Heap.push h ~key:1 ~seq:1 "y";
-  (match Stdext.Heap.peek h with
-  | Some (1, 1, "y") -> ()
-  | Some _ | None -> Alcotest.fail "peek wrong");
-  check Alcotest.int "length" 2 (Stdext.Heap.length h)
-
-let test_heap_clear () =
-  let h = Stdext.Heap.create () in
-  for i = 0 to 9 do
-    Stdext.Heap.push h ~key:i ~seq:i i
-  done;
-  Stdext.Heap.clear h;
-  check Alcotest.bool "empty" true (Stdext.Heap.is_empty h);
-  check Alcotest.bool "pop none" true (Stdext.Heap.pop h = None)
-
-let test_heap_reusable_after_clear () =
-  (* clear keeps the backing array; the heap must behave like new. *)
-  let h = Stdext.Heap.create () in
-  for round = 1 to 3 do
-    for i = 0 to 999 do
-      Stdext.Heap.push h ~key:(999 - i) ~seq:i i
-    done;
-    Stdext.Heap.clear h;
-    check Alcotest.int "cleared" 0 (Stdext.Heap.length h);
-    for i = 0 to 9 do
-      Stdext.Heap.push h ~key:(9 - i) ~seq:i (round * 100 + i)
-    done;
-    for k = 0 to 9 do
-      check Alcotest.int "order after clear" k
-        (match Stdext.Heap.pop h with
-        | Some (key, _, _) -> key
-        | None -> -1)
-    done
-  done
-
-let test_heap_min_key_pop_min () =
-  let h = Stdext.Heap.create () in
-  check Alcotest.bool "min_key empty raises" true
-    (match Stdext.Heap.min_key h with
-    | _ -> false
-    | exception Not_found -> true);
-  check Alcotest.bool "pop_min empty raises" true
-    (match Stdext.Heap.pop_min h with
-    | _ -> false
-    | exception Not_found -> true);
-  Stdext.Heap.push h ~key:7 ~seq:0 "late";
-  Stdext.Heap.push h ~key:2 ~seq:1 "early";
-  check Alcotest.int "min_key" 2 (Stdext.Heap.min_key h);
-  check Alcotest.int "peek untouched" 2 (Stdext.Heap.length h);
-  check Alcotest.string "pop_min value" "early" (Stdext.Heap.pop_min h);
-  check Alcotest.string "then next" "late" (Stdext.Heap.pop_min h);
-  check Alcotest.bool "drained" true (Stdext.Heap.is_empty h)
-
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap pops in key order" ~count:200
     QCheck.(list (pair small_nat small_nat))
@@ -370,11 +313,6 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "fifo within key" `Quick test_heap_fifo_within_key;
-          Alcotest.test_case "peek" `Quick test_heap_peek;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
-          Alcotest.test_case "reusable after clear" `Quick
-            test_heap_reusable_after_clear;
-          Alcotest.test_case "min_key/pop_min" `Quick test_heap_min_key_pop_min;
           qcheck prop_heap_sorts;
         ] );
       ( "bytio",

@@ -143,6 +143,42 @@ let scripted_handshake w ~port =
   | None -> Alcotest.fail "accept never fired");
   (Option.get !accepted, a_iss, iss)
 
+(* A link may pad a frame past the datagram it carries: the segment ends
+   at the IP total length, so a SYN in a padded frame opens a connection
+   on either IP forwarding setting and either TCP receive road. *)
+let test_padded_syn_opens () =
+  List.iter
+    (fun (ip_fast, tcp_fast) ->
+      let w = world () in
+      let a_ip = Tcp.stack w.a_tcp in
+      Ip.Stack.set_fast_path a_ip ip_fast;
+      Tcp.set_fast_path w.a_tcp tcp_fast;
+      ignore (Tcp.listen w.a_tcp ~port:80 ~accept:(fun _ -> ()));
+      let seg =
+        Wire.encode ~src:w.b_addr ~dst:w.a_addr
+          (Wire.make ~seq:1000 ~flags:(Wire.flags ~syn:true ()) ~window:4096
+             ~src_port:4444 ~dst_port:80 ())
+      in
+      let frame =
+        Ipv4.encode
+          (Ipv4.make_header ~proto:Ipv4.Proto.Tcp ~src:w.b_addr
+             ~dst:w.a_addr ())
+          ~payload:seg
+      in
+      Ip.Stack.receive a_ip ~iface:0 (Bytes.cat frame (Bytes.make 4 'P'));
+      run w;
+      let label what =
+        Printf.sprintf "%s (ip fast %b, tcp fast %b)" what ip_fast tcp_fast
+      in
+      let st = Tcp.instance_stats w.a_tcp in
+      check Alcotest.int (label "no bad segment") 0 st.Tcp.bad_segments;
+      check Alcotest.int (label "passive open") 1 st.Tcp.passive_opens;
+      ignore
+        (expect w (label "SYN-ACK") (fun seg ->
+             seg.Wire.flags.Wire.syn && seg.Wire.flags.Wire.ack
+             && seg.Wire.ack_n = 1001)))
+    [ (true, true); (true, false); (false, true); (false, false) ]
+
 let test_scripted_handshake_fields () =
   let w = world () in
   let conn, _, _ = scripted_handshake w ~port:80 in
@@ -430,6 +466,7 @@ let () =
       ( "handshake",
         [
           Alcotest.test_case "field values" `Quick test_scripted_handshake_fields;
+          Alcotest.test_case "padded syn opens" `Quick test_padded_syn_opens;
         ] );
       ( "segment-processing",
         [

@@ -88,9 +88,10 @@ let test_region_prefix_owns_hosts () =
     done
   done
 
-let test_pool_udp_bad_checksum () =
-  (* A pooled host with a UDP sink takes only datagrams that decode: one
-     with a corrupted checksum is a stray, never a delivery. *)
+(* A pooled host [d] on a one-link net, with or without a UDP sink, and
+   a sender of one UDP datagram to it, intact or with its checksum
+   corrupted. *)
+let udp_pool ~sink =
   let eng = Engine.create () in
   let net = Netsim.create ~seed:3 eng in
   let ns = Netsim.add_node net "s" in
@@ -100,8 +101,9 @@ let test_pool_udp_bad_checksum () =
   let src = Packet.Addr.v 10 0 0 1 and dst = Packet.Addr.v 10 0 0 2 in
   let d = Hostpool.attach pool ~node:nd ~iface:0 ~addr:dst in
   let calls = ref 0 in
-  Hostpool.set_udp_sink pool
-    (Some (fun _slot ~src:_ ~src_port:_ ~dst_port:_ _ -> incr calls));
+  if sink then
+    Hostpool.set_udp_sink pool
+      (Some (fun _slot ~src:_ ~src_port:_ ~dst_port:_ _ -> incr calls));
   let send ~corrupt =
     let udp =
       Packet.Udp_wire.encode ~src ~dst
@@ -115,11 +117,28 @@ let test_pool_udp_bad_checksum () =
     ignore (Netsim.send net ns ~iface:0 (Packet.Ipv4.encode h ~payload:udp));
     Engine.run eng
   in
+  (pool, d, calls, send)
+
+let test_pool_udp_bad_checksum () =
+  (* A pooled host with a UDP sink takes only datagrams that decode: one
+     with a corrupted checksum is a stray, never a delivery. *)
+  let pool, d, calls, send = udp_pool ~sink:true in
   send ~corrupt:false;
   check Alcotest.int "intact: sink called" 1 !calls;
   check Alcotest.int "intact: delivered" 1 (Hostpool.rx_count pool d);
   send ~corrupt:true;
   check Alcotest.int "corrupt: sink not called" 1 !calls;
+  check Alcotest.int "corrupt: not delivered" 1 (Hostpool.rx_count pool d);
+  check Alcotest.int "corrupt: not in the total" 1 (Hostpool.rx_total pool);
+  check Alcotest.int "corrupt: counted as a stray" 1 (Hostpool.rx_stray pool)
+
+let test_pool_udp_bad_checksum_no_sink () =
+  (* The checksum guards the count, not only the sink: with no sink
+     attached, a corrupted datagram is still a stray. *)
+  let pool, d, _, send = udp_pool ~sink:false in
+  send ~corrupt:false;
+  check Alcotest.int "intact: delivered" 1 (Hostpool.rx_count pool d);
+  send ~corrupt:true;
   check Alcotest.int "corrupt: not delivered" 1 (Hostpool.rx_count pool d);
   check Alcotest.int "corrupt: not in the total" 1 (Hostpool.rx_total pool);
   check Alcotest.int "corrupt: counted as a stray" 1 (Hostpool.rx_stray pool)
@@ -139,5 +158,7 @@ let () =
           Alcotest.test_case "all region pairs" `Quick test_all_pairs_regions;
           Alcotest.test_case "pool udp bad checksum" `Quick
             test_pool_udp_bad_checksum;
+          Alcotest.test_case "pool udp bad checksum, no sink" `Quick
+            test_pool_udp_bad_checksum_no_sink;
         ] );
     ]

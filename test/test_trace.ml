@@ -367,9 +367,9 @@ let test_accounting_mutable_ledger () =
     Ipv4.make_header ~proto:(Ipv4.Proto.Other 99) ~src:(Addr.v 10 0 1 1)
       ~dst:(Addr.v 10 0 2 2) ()
   in
-  let payload = Bytes.make 100 'p' in
-  Ip.Accounting.record acct h ~payload ~wire_bytes:120;
-  Ip.Accounting.record acct h ~payload ~wire_bytes:120;
+  let frame = Ipv4.encode h ~payload:(Bytes.make 100 'p') in
+  Ip.Accounting.record acct ~frame;
+  Ip.Accounting.record acct ~frame;
   check Alcotest.int "one flow" 1 (Ip.Accounting.flow_count acct);
   let flow, usage =
     match Ip.Accounting.flows acct with [ fu ] -> fu | _ -> assert false
