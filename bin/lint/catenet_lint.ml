@@ -7,7 +7,8 @@
    allocation, observability totality, mli hygiene, replay determinism,
    state-machine conformance); .cmt arguments are read for the typed
    rules (polymorphic-comparison ban, match hygiene, partial
-   application in fastpath spans, wrap-safe sequence/time arithmetic).
+   application and boxed optional arguments in fastpath spans, wrap-safe
+   sequence/time arithmetic).
    [--rng-only] restricts the run to the seeded-RNG determinism
    sub-rule, the contract for bench/ and examples/.  Findings print as
 

@@ -14,8 +14,12 @@
      partial   - no partial application inside [@@fastpath] spans (a
                  partial application allocates a closure the syntactic
                  rule cannot see).
+     optional  - no boxed optional argument inside [@@fastpath] spans:
+                 passing [~pos:e] to a [?pos] parameter makes the type
+                 checker wrap [e] in a [Some] that is allocated at every
+                 call unless [e] is a constant.
 
-   Spans for the partial rule come from the Parsetree pass
+   Spans for the partial and optional rules come from the Parsetree pass
    ({!Lint_source.ctx.fastpath_spans}). *)
 
 open Typedtree
@@ -79,6 +83,23 @@ let mentions_want_typed e =
   !found
 
 let exempt attrs = Lint_common.has_attr "fastpath.exempt" attrs
+
+(* The [Some] the type checker wraps around an argument given with [~l]
+   to an optional parameter [?l]: it carries its argument's location,
+   where a [Some] written in the source spans more than its argument. *)
+let inserted_some e =
+  match e.exp_desc with
+  | Texp_construct (_, { Types.cstr_name = "Some"; _ }, [ arg ])
+    when arg.exp_loc = e.exp_loc ->
+      Some arg
+  | _ -> None
+
+(* A constant is boxed once, statically. *)
+let is_constant e =
+  match e.exp_desc with
+  | Texp_constant _ | Texp_construct (_, _, []) | Texp_variant (_, None) ->
+      true
+  | _ -> false
 
 let type_label parts = String.concat "." parts
 
@@ -147,10 +168,23 @@ let check_cmt ~fastpath_spans path =
                     cases
               | _ -> ());
               (match e.exp_desc with
-              | Texp_apply (_, _) when in_span e.exp_loc && is_arrow e.exp_type
-                ->
-                  report_at e.exp_loc "fastpath"
-                    "partial application inside [@@fastpath] allocates a closure"
+              | Texp_apply (_, args) when in_span e.exp_loc ->
+                  if is_arrow e.exp_type then
+                    report_at e.exp_loc "fastpath"
+                      "partial application inside [@@fastpath] allocates a closure";
+                  List.iter
+                    (function
+                      | Asttypes.Optional l, Some a -> (
+                          match inserted_some a with
+                          | Some v when not (is_constant v) ->
+                              report_at a.exp_loc "fastpath"
+                                (Printf.sprintf
+                                   "optional argument ?%s is boxed in Some \
+                                    at every call (take it as a plain label)"
+                                   l)
+                          | Some _ | None -> ())
+                      | _ -> ())
+                    args
               | _ -> ());
               match e.exp_desc with
               | Texp_ifthenelse (c, _t, eo) when mentions_want_typed c ->

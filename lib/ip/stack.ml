@@ -447,16 +447,18 @@ let payload_of_frame frame =
    place after it.  On the common road — routed out an interface, fits
    the MTU — and on loopback, the IP header is written into the prefix
    field by field and the very same buffer is transmitted or delivered:
-   the frame is all a send allocates.  Fragmentation falls back to the
-   [emit] machinery, which needs a materialized payload anyway.  A
-   datagram longer than its header's length field can say is no
-   datagram at all. *)
-let send_frame t ?(tos = Ipv4.Tos.Routine) ?(ttl = 64) ?(dont_fragment = false)
-    ?src ~proto ~dst frame =
+   the frame is all a send allocates.  Every header field is a plain
+   label, so nothing is boxed on the way in; an unspecified source
+   ([Addr.any]) takes the outgoing interface's address from the one
+   route lookup.  Fragmentation falls back to the [emit] machinery,
+   which needs a materialized payload anyway.  A datagram longer than
+   its header's length field can say is no datagram at all. *)
+let send_frame t ~tos ~ttl ~dont_fragment ~src ~proto ~dst frame =
+  let unspecified = Addr.equal src Addr.any in
   if Bytes.length frame > Ipv4.max_datagram then Error `Too_big
   else if has_addr t dst then begin
     (* Loopback: deliver through the engine so ordering matches the wire. *)
-    let src = match src with Some s -> s | None -> primary_addr t in
+    let src = if unspecified then primary_addr t else src in
     Ipv4.encode_fields frame ~tos ~id:(fresh_id t) ~dont_fragment
       ~more_fragments:false ~frag_offset:0 ~ttl ~proto ~src ~dst;
     t.c.sent <- t.c.sent + 1;
@@ -467,16 +469,13 @@ let send_frame t ?(tos = Ipv4.Tos.Routine) ?(ttl = 64) ?(dont_fragment = false)
     match Route_table.lookup t.table dst with
     | None ->
         t.c.dropped_no_route <- t.c.dropped_no_route + 1;
-        trace_drop t
-          ~src:(match src with Some s -> s | None -> Addr.any)
-          ~dst Trace.Event.No_route;
+        trace_drop t ~src ~dst Trace.Event.No_route;
         Error `No_route
     | Some route ->
         let iface = route.Route_table.iface in
         let src =
-          match src with
-          | Some s -> s
-          | None -> addr_of_iface iface (primary_addr t) t.iface_addrs
+          if unspecified then addr_of_iface iface (primary_addr t) t.iface_addrs
+          else src
         in
         let id = fresh_id t in
         t.c.sent <- t.c.sent + 1;
@@ -491,11 +490,12 @@ let send_frame t ?(tos = Ipv4.Tos.Routine) ?(ttl = 64) ?(dont_fragment = false)
             (Ipv4.make_header ~tos ~id ~dont_fragment ~ttl ~proto ~src ~dst ())
             (payload_of_frame frame)
 
-let send t ?tos ?ttl ?dont_fragment ?src ~proto ~dst payload =
+let send t ?(tos = Ipv4.Tos.Routine) ?(ttl = Ipv4.default_ttl)
+    ?(dont_fragment = false) ?(src = Addr.any) ~proto ~dst payload =
   let len = Bytes.length payload in
   let frame = Bytes.create (Ipv4.header_size + len) in
   Bytes.blit payload 0 frame Ipv4.header_size len;
-  send_frame t ?tos ?ttl ?dont_fragment ?src ~proto ~dst frame
+  send_frame t ~tos ~ttl ~dont_fragment ~src ~proto ~dst frame
 
 let icmp_unreachable t frame code = report_unreachable t frame code
 

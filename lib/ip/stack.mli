@@ -119,32 +119,35 @@ val send :
   dst:Addr.t ->
   bytes ->
   (unit, send_error) result
-(** Originate a datagram.  The source address defaults to the outgoing
-    interface's address.  Local destinations loop back through the engine
-    (asynchronously, like everything else).  A datagram that loops back,
-    or is routed and fits the MTU, allocates exactly its frame: the
-    header is written in front of a copy of the payload, and that buffer
-    is delivered or transmitted. *)
+(** Originate a datagram: {!send_frame} over a copy of the payload, with
+    routine ToS, TTL {!Ipv4.default_ttl}, DF clear and an unspecified
+    source unless the caller picks them.  Local destinations loop back
+    through the engine (asynchronously, like everything else).  A
+    datagram that loops back, or is routed and fits the MTU, allocates
+    exactly its frame: the header is written in front of a copy of the
+    payload, and that buffer is delivered or transmitted. *)
 
 val send_frame :
   t ->
-  ?tos:Ipv4.Tos.t ->
-  ?ttl:int ->
-  ?dont_fragment:bool ->
-  ?src:Addr.t ->
+  tos:Ipv4.Tos.t ->
+  ttl:int ->
+  dont_fragment:bool ->
+  src:Addr.t ->
   proto:Ipv4.Proto.t ->
   dst:Addr.t ->
   bytes ->
   (unit, send_error) result
-(** Like {!send}, but the argument is a whole frame: the first
-    [Ipv4.header_size] bytes are a reserved prefix the stack fills in, and
-    the transport payload already sits after it.  When the datagram loops
-    back, or is routed out an interface and fits the MTU, the header is
-    written into the prefix and the frame itself is delivered or
-    transmitted — no payload copy, no re-encode; the frame is the
-    stack's from then on.  Fragmentation falls back to the copying path.
-    Transports use this to emit segments built allocation-free with the
-    wire modules' [encode_into]. *)
+(** Originate a whole frame: the first [Ipv4.header_size] bytes are a
+    reserved prefix the stack fills in, and the transport payload already
+    sits after it.  A [src] of [Addr.any] (unspecified) takes the
+    outgoing interface's address, or the primary address on loopback.
+    When the datagram loops back, or is routed out an interface and fits
+    the MTU, the header is written into the prefix and the frame itself
+    is delivered or transmitted — no payload copy, no re-encode; the
+    frame is the stack's from then on.  Fragmentation falls back to the
+    copying path.  Every header field is a plain label, so a send boxes
+    nothing: transports, which know them all, emit segments built with
+    the wire modules' [encode_into] and allocate only the frame. *)
 
 val send_echo_request : t -> dst:Addr.t -> id:int -> seq:int -> payload:bytes -> unit
 

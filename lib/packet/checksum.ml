@@ -2,8 +2,6 @@ type acc = int
 
 let zero = 0
 
-let add_u16 acc v = acc + (v land 0xffff) [@@fastpath]
-
 (* The inner loop sums 32-bit big-endian reads: each contributes its two
    16-bit columns as [hi·2^16 + lo], and the final carry fold collapses
    the deferred [hi] sums back into the 16-bit one's-complement total.
@@ -38,8 +36,7 @@ let rec fold_carry s =
 
 let finish acc = lnot (fold_carry acc) land 0xffff [@@fastpath]
 
-let of_bytes ?(acc = zero) b ~pos ~len = finish (add_bytes acc b ~pos ~len)
-[@@fastpath]
+let of_bytes b ~pos ~len = finish (add_bytes zero b ~pos ~len) [@@fastpath]
 
 (* RFC 1624 (eqn. 3): HC' = ~(~HC + ~m + m').  Folding the carry keeps the
    result in one's-complement range, so updating a checksum for a one-word
@@ -53,8 +50,7 @@ let update_u16 csum ~old_word ~new_word =
   lnot (fold_carry sum) land 0xffff
 [@@fastpath]
 
-let valid ?(acc = zero) b ~pos ~len =
-  fold_carry (add_bytes acc b ~pos ~len) = 0xffff
+let valid b ~pos ~len = fold_carry (add_bytes zero b ~pos ~len) = 0xffff
 [@@fastpath]
 
 (* Straight-line adds: the [Fun.flip] pipeline this replaces allocated a

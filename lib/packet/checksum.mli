@@ -16,14 +16,15 @@ val add_bytes : acc -> bytes -> pos:int -> len:int -> acc
     with zero, as the RFC specifies; callers must therefore only split
     input on even offsets. *)
 
-val add_u16 : acc -> int -> acc
-(** Fold one 16-bit value. *)
-
 val finish : acc -> int
-(** Final one's-complement (bit-flipped) 16-bit checksum. *)
+(** Final one's-complement (bit-flipped) 16-bit checksum.  A range that
+    includes its own correct checksum field finishes to 0, so a transport
+    verifies a segment over its pseudo-header with
+    [finish (add_bytes (pseudo_header ...) buf ~pos ~len) = 0]. *)
 
-val of_bytes : ?acc:acc -> bytes -> pos:int -> len:int -> int
-(** Checksum of a byte range in one call. *)
+val of_bytes : bytes -> pos:int -> len:int -> int
+(** Checksum of a byte range alone: [finish (add_bytes zero ...)].  Over a
+    pseudo-header, fold with {!add_bytes} and {!finish} instead. *)
 
 val update_u16 : int -> old_word:int -> new_word:int -> int
 (** [update_u16 csum ~old_word ~new_word] is the checksum after one 16-bit
@@ -32,7 +33,7 @@ val update_u16 : int -> old_word:int -> new_word:int -> int
     repair an IP header checksum after decrementing the TTL without
     re-summing the header. *)
 
-val valid : ?acc:acc -> bytes -> pos:int -> len:int -> bool
+val valid : bytes -> pos:int -> len:int -> bool
 (** A range that includes its own (correct) checksum field sums to 0xFFFF
     before complementing; [valid] checks exactly that. *)
 

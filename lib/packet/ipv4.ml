@@ -61,6 +61,7 @@ type header = {
 
 let header_size = 20
 let max_datagram = 65535
+let default_ttl = 64
 
 (* Machine-checked wire contract: catenet-lint verifies every constant
    byte access in encode_fields/peek*/patch_* lands on these field
@@ -79,8 +80,8 @@ let layout : (string * int * int) list =
     ("dst", 16, 4) ]
 
 let make_header ?(tos = Tos.Routine) ?(id = 0) ?(dont_fragment = false)
-    ?(more_fragments = false) ?(frag_offset = 0) ?(ttl = 64) ~proto ~src ~dst
-    () =
+    ?(more_fragments = false) ?(frag_offset = 0) ?(ttl = default_ttl) ~proto
+    ~src ~dst () =
   { tos; id; dont_fragment; more_fragments; frag_offset; ttl; proto; src; dst }
 
 type error =
@@ -103,7 +104,8 @@ let encode_fields frame ~tos ~id ~dont_fragment ~more_fragments ~frag_offset
     invalid_arg "Ipv4.encode: bad datagram size";
   if id < 0 || id > 0xffff then invalid_arg "Ipv4.encode: bad id";
   if ttl < 0 || ttl > 255 then invalid_arg "Ipv4.encode: bad ttl";
-  if frag_offset < 0 || frag_offset > 0xffff * 8 || frag_offset mod 8 <> 0
+  (* The offset travels in 8-byte units in a 13-bit field. *)
+  if frag_offset < 0 || frag_offset > 0x1fff * 8 || frag_offset mod 8 <> 0
   then invalid_arg "Ipv4.encode: bad fragment offset";
   Bytes.set_uint8 frame 0 ((4 lsl 4) lor 5);
   Bytes.set_uint8 frame 1 (Tos.to_int tos);

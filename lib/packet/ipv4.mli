@@ -31,7 +31,7 @@ type header = {
   id : int;  (** Fragment-group identification, 16 bits. *)
   dont_fragment : bool;
   more_fragments : bool;
-  frag_offset : int;  (** In bytes; must be a multiple of 8. *)
+  frag_offset : int;  (** In bytes: a multiple of 8, at most 65,528. *)
   ttl : int;
   proto : Proto.t;
   src : Addr.t;
@@ -48,6 +48,9 @@ val layout : (string * int * int) list
 
 val max_datagram : int
 (** 65535, the total-length field bound. *)
+
+val default_ttl : int
+(** 64, the TTL a datagram starts with unless its sender picks one. *)
 
 val make_header :
   ?tos:Tos.t ->

@@ -101,6 +101,20 @@ let header_size t =
       (opt_block ~mss:t.mss ~wscale:t.wscale ~sack_permitted:t.sack_permitted
          ~sack:t.sack)
 
+(* [block_size (opt_block ...)] without building the block, for the
+   in-place encoder: a segment's options arrive as plain arguments and
+   cost nothing. *)
+let opts_size ~mss ~wscale ~sack_permitted ~sack =
+  match sack with
+  | _ :: _ -> 4 + (8 * List.length sack)
+  | [] ->
+      if Option.is_some wscale || sack_permitted then 12
+      else if Option.is_some mss then 4
+      else 0
+
+let header_bytes ~mss ~wscale ~sack_permitted ~sack =
+  20 + opts_size ~mss ~wscale ~sack_permitted ~sack
+
 (* Machine-checked wire contract (see catenet-lint): a fixed 20-byte
    header followed by one of three canonical option blocks, each with its
    own layout table so every constant-offset access in the writers below
@@ -259,29 +273,43 @@ let encode ~src ~dst t =
   let acc =
     Checksum.pseudo_header ~src ~dst ~proto:6 ~len:total
   in
-  let csum = Checksum.of_bytes ~acc buf ~pos:0 ~len:total in
+  let csum = Checksum.finish (Checksum.add_bytes acc buf ~pos:0 ~len:total) in
   Bytes.set_uint16_be buf 16 csum;
   buf
 
-let header_bytes ?(wscale = None) ?(sack_permitted = false) ?(sack = []) ~mss
-    () =
-  20 + block_size (opt_block ~mss ~wscale ~sack_permitted ~sack)
+(* The SACK edges, (left, right) pairs from offset [p] on. *)
+let rec write_sack_edges buf p = function
+  | [] -> ()
+  | (l, r) :: rest ->
+      check_range "sack left edge" l 0xFFFFFFFF;
+      check_range "sack right edge" r 0xFFFFFFFF;
+      Bytes.set_int32_be buf p (Int32.of_int l);
+      Bytes.set_int32_be buf (p + 4) (Int32.of_int r);
+      write_sack_edges buf (p + 8) rest
 
-(* Allocation-free counterpart of {!encode}: the caller has already placed
-   the payload at [pos + header_bytes ~mss ...] in [buf] and we fill in the
-   header around it, checksumming header and payload in a single pass.
-   Byte-for-byte identical output to {!encode}. *)
+(* In-place counterpart of {!encode}: the caller has already placed the
+   payload at [pos + header_bytes ...] in [buf]; the header is written
+   around it and header and payload are checksummed in a single pass.
+   Every option argument is a plain label and no option block is built,
+   so a segment allocates nothing.  Byte-for-byte identical output to
+   {!encode}, its reference. *)
 let encode_into ~src ~dst ~src_port ~dst_port ~seq ~ack_n ~flags ~window
-    ?(urgent = 0) ?(mss = None) ?(wscale = None) ?(sack_permitted = false)
-    ?(sack = []) ~payload_len buf ~pos =
+    ~urgent ~mss ~wscale ~sack_permitted ~sack ~payload_len buf ~pos =
   check_range "src_port" src_port 0xffff;
   check_range "dst_port" dst_port 0xffff;
   check_range "seq" seq 0xFFFFFFFF;
   check_range "ack" ack_n 0xFFFFFFFF;
   check_range "window" window 0xffff;
   check_range "urgent" urgent 0xffff;
-  let block = opt_block ~mss ~wscale ~sack_permitted ~sack in
-  let hsize = 20 + block_size block in
+  (match sack with
+  | [] -> ()
+  | _ :: _ ->
+      if Option.is_some mss || Option.is_some wscale || sack_permitted then
+        invalid_arg
+          "Tcp_wire: SACK blocks cannot share a segment with SYN options";
+      if List.length sack > max_sack_blocks then
+        invalid_arg "Tcp_wire: more than 4 SACK blocks");
+  let hsize = header_bytes ~mss ~wscale ~sack_permitted ~sack in
   let total = hsize + payload_len in
   if pos < 0 || payload_len < 0 || pos + total > Bytes.length buf then
     invalid_arg "Tcp_wire.encode_into: buffer too small";
@@ -294,52 +322,53 @@ let encode_into ~src ~dst ~src_port ~dst_port ~seq ~ack_n ~flags ~window
   Bytes.set_uint16_be buf (pos + 14) window;
   Bytes.set_uint16_be buf (pos + 16) 0 (* checksum placeholder *);
   Bytes.set_uint16_be buf (pos + 18) urgent;
-  (match block with
-  | O_none -> ()
-  | O_mss m ->
-      check_range "mss" m 0xffff;
-      Bytes.set_uint8 buf (pos + 20) 2;
-      Bytes.set_uint8 buf (pos + 21) 4;
-      Bytes.set_uint16_be buf (pos + 22) m
-  | O_syn { o_mss; o_ws; o_sackp } ->
-      check_range "mss" o_mss 0xffff;
-      Bytes.set_uint8 buf (pos + 20) 2;
-      Bytes.set_uint8 buf (pos + 21) 4;
-      Bytes.set_uint16_be buf (pos + 22) o_mss;
-      (match o_ws with
-      | Some s ->
-          check_range "wscale" s 14;
-          Bytes.set_uint8 buf (pos + 24) 3;
-          Bytes.set_uint8 buf (pos + 25) 3;
-          Bytes.set_uint8 buf (pos + 26) s
-      | None ->
-          Bytes.set_uint8 buf (pos + 24) 1;
-          Bytes.set_uint8 buf (pos + 25) 1;
-          Bytes.set_uint8 buf (pos + 26) 1);
-      Bytes.set_uint8 buf (pos + 27) 1;
-      (if o_sackp then begin
-         Bytes.set_uint8 buf (pos + 28) 4;
-         Bytes.set_uint8 buf (pos + 29) 2
-       end
-       else begin
-         Bytes.set_uint8 buf (pos + 28) 1;
-         Bytes.set_uint8 buf (pos + 29) 1
-       end);
-      Bytes.set_uint16_be buf (pos + 30) 0x0101
-  | O_sack bs ->
-      check_sack_edges bs;
+  (match sack with
+  | _ :: _ ->
       Bytes.set_uint16_be buf (pos + 20) 0x0101;
       Bytes.set_uint8 buf (pos + 22) 5;
-      Bytes.set_uint8 buf (pos + 23) (2 + (8 * List.length bs));
-      List.iteri
-        (fun i (l, r) ->
-          Bytes.set_int32_be buf (pos + 24 + (8 * i)) (Int32.of_int l);
-          Bytes.set_int32_be buf (pos + 28 + (8 * i)) (Int32.of_int r))
-        bs);
-  let acc =
-    Checksum.pseudo_header ~src ~dst ~proto:6 ~len:total
-  in
-  let csum = Checksum.of_bytes ~acc buf ~pos ~len:total in
+      Bytes.set_uint8 buf (pos + 23) (2 + (8 * List.length sack));
+      write_sack_edges buf (pos + 24) sack
+  | [] ->
+      if Option.is_some wscale || sack_permitted then begin
+        (* The SYN block always carries an MSS; RFC 1122's 536 default
+           keeps the block shape fixed when the caller has none to
+           advertise. *)
+        let m = match mss with Some m -> m | None -> 536 in
+        check_range "mss" m 0xffff;
+        Bytes.set_uint8 buf (pos + 20) 2;
+        Bytes.set_uint8 buf (pos + 21) 4;
+        Bytes.set_uint16_be buf (pos + 22) m;
+        (match wscale with
+        | Some s ->
+            check_range "wscale" s 14;
+            Bytes.set_uint8 buf (pos + 24) 3;
+            Bytes.set_uint8 buf (pos + 25) 3;
+            Bytes.set_uint8 buf (pos + 26) s
+        | None ->
+            Bytes.set_uint8 buf (pos + 24) 1;
+            Bytes.set_uint8 buf (pos + 25) 1;
+            Bytes.set_uint8 buf (pos + 26) 1);
+        Bytes.set_uint8 buf (pos + 27) 1;
+        (if sack_permitted then begin
+           Bytes.set_uint8 buf (pos + 28) 4;
+           Bytes.set_uint8 buf (pos + 29) 2
+         end
+         else begin
+           Bytes.set_uint8 buf (pos + 28) 1;
+           Bytes.set_uint8 buf (pos + 29) 1
+         end);
+        Bytes.set_uint16_be buf (pos + 30) 0x0101
+      end
+      else
+        match mss with
+        | Some m ->
+            check_range "mss" m 0xffff;
+            Bytes.set_uint8 buf (pos + 20) 2;
+            Bytes.set_uint8 buf (pos + 21) 4;
+            Bytes.set_uint16_be buf (pos + 22) m
+        | None -> ());
+  let acc = Checksum.pseudo_header ~src ~dst ~proto:6 ~len:total in
+  let csum = Checksum.finish (Checksum.add_bytes acc buf ~pos ~len:total) in
   Bytes.set_uint16_be buf (pos + 16) csum;
   total
 
@@ -410,42 +439,48 @@ let parse_options buf ~pos ~len =
   done;
   match !bad with Some m -> Error (`Bad_header m) | None -> Ok !opts
 
-(* Validate the fixed header and checksum without building a [t]; the
-   receive fast path reads the few fields it needs straight from the
-   buffer via the [peek_*] accessors below and only falls back to
-   {!of_peeked} when full dispatch is required. *)
-let peek ~src ~dst buf ~pos ~len =
-  if len < 20 then Error `Truncated
+(* Validate the fixed header and checksum without building a [t]: the
+   data offset, or a negative code naming what is wrong.  The receive
+   fast path reads the few fields it needs straight from the buffer via
+   the [peek_*] accessors below and only falls back to {!of_peeked} when
+   full dispatch is required. *)
+let bad_length = -1
+let bad_offset = -2
+let bad_checksum = -3
+
+let check ~src ~dst buf ~pos ~len =
+  if len < 20 then bad_length
   else begin
     let off_flags = Bytes.get_uint16_be buf (pos + 12) in
     let data_offset = (off_flags lsr 12) * 4 in
-    if data_offset < 20 || data_offset > len then
-      Error (`Bad_header "bad data offset")
+    if data_offset < 20 || data_offset > len then bad_offset
     else begin
-      let acc =
-        Checksum.pseudo_header ~src ~dst ~proto:6 ~len
-      in
-      if not (Checksum.valid ~acc buf ~pos ~len) then Error `Bad_checksum
-      else Ok data_offset
+      let acc = Checksum.pseudo_header ~src ~dst ~proto:6 ~len in
+      if Checksum.finish (Checksum.add_bytes acc buf ~pos ~len) <> 0 then
+        bad_checksum
+      else data_offset
     end
   end
 
-let peek_src_port ?(pos = 0) buf = Bytes.get_uint16_be buf pos [@@fastpath]
-let peek_dst_port ?(pos = 0) buf = Bytes.get_uint16_be buf (pos + 2) [@@fastpath]
+let peek ~src ~dst buf ~pos ~len =
+  let r = check ~src ~dst buf ~pos ~len in
+  if r < 0 then 0 else r
+
+let peek_src_port buf ~pos = Bytes.get_uint16_be buf pos [@@fastpath]
+let peek_dst_port buf ~pos = Bytes.get_uint16_be buf (pos + 2) [@@fastpath]
 
 let peek_u32 buf p = Int32.to_int (Bytes.get_int32_be buf p) land 0xFFFFFFFF [@@fastpath]
 
-let peek_seq ?(pos = 0) buf = peek_u32 buf (pos + 4) [@@fastpath]
-let peek_ack_n ?(pos = 0) buf = peek_u32 buf (pos + 8) [@@fastpath]
-let peek_flag_bits ?(pos = 0) buf = Bytes.get_uint16_be buf (pos + 12) land 0x3f [@@fastpath]
-let peek_window ?(pos = 0) buf = Bytes.get_uint16_be buf (pos + 14) [@@fastpath]
+let peek_seq buf ~pos = peek_u32 buf (pos + 4) [@@fastpath]
+let peek_ack_n buf ~pos = peek_u32 buf (pos + 8) [@@fastpath]
+let peek_flag_bits buf ~pos = Bytes.get_uint16_be buf (pos + 12) land 0x3f [@@fastpath]
+let peek_window buf ~pos = Bytes.get_uint16_be buf (pos + 14) [@@fastpath]
 
-let of_peeked buf ~data_offset =
-  let len = Bytes.length buf in
-  match parse_options buf ~pos:20 ~len:(data_offset - 20) with
+let of_peeked buf ~pos ~len ~data_offset =
+  match parse_options buf ~pos:(pos + 20) ~len:(data_offset - 20) with
   | Error _ as e -> e
   | Ok opts ->
-      let bits = Bytes.get_uint16_be buf 12 land 0x3f in
+      let bits = peek_flag_bits buf ~pos in
       let flags =
         {
           urg = bits land 0x20 <> 0;
@@ -458,24 +493,27 @@ let of_peeked buf ~data_offset =
       in
       Ok
         {
-          src_port = peek_src_port buf;
-          dst_port = peek_dst_port buf;
-          seq = peek_seq buf;
-          ack_n = peek_ack_n buf;
+          src_port = peek_src_port buf ~pos;
+          dst_port = peek_dst_port buf ~pos;
+          seq = peek_seq buf ~pos;
+          ack_n = peek_ack_n buf ~pos;
           flags;
-          window = peek_window buf;
-          urgent = Bytes.get_uint16_be buf 18;
+          window = peek_window buf ~pos;
+          urgent = Bytes.get_uint16_be buf (pos + 18);
           mss = opts.o_mss;
           wscale = opts.o_wscale;
           sack_permitted = opts.o_sack_permitted;
           sack = opts.o_sack;
-          payload = Bytes.sub buf data_offset (len - data_offset);
+          payload = Bytes.sub buf (pos + data_offset) (len - data_offset);
         }
 
 let decode ~src ~dst buf =
-  match peek ~src ~dst buf ~pos:0 ~len:(Bytes.length buf) with
-  | Error _ as e -> e
-  | Ok data_offset -> of_peeked buf ~data_offset
+  let len = Bytes.length buf in
+  let r = check ~src ~dst buf ~pos:0 ~len in
+  if r = bad_length then Error `Truncated
+  else if r = bad_offset then Error (`Bad_header "bad data offset")
+  else if r = bad_checksum then Error `Bad_checksum
+  else of_peeked buf ~pos:0 ~len ~data_offset:r
 
 let pp fmt t =
   Format.fprintf fmt "%d>%d %a seq=%d ack=%d win=%d len=%d%s%s%s%s" t.src_port

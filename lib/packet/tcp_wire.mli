@@ -89,14 +89,15 @@ val header_size : t -> int
     (MSS + wscale + SACK-permitted), 20 + 4 + 8·blocks with SACK. *)
 
 val header_bytes :
-  ?wscale:int option ->
-  ?sack_permitted:bool ->
-  ?sack:(int * int) list ->
   mss:int option ->
-  unit ->
+  wscale:int option ->
+  sack_permitted:bool ->
+  sack:(int * int) list ->
   int
 (** {!header_size} from the option set alone, for sizing an
-    {!encode_into} buffer before the segment exists. *)
+    {!encode_into} buffer before the segment exists.  A segment without
+    options passes [~mss:None ~wscale:None ~sack_permitted:false
+    ~sack:[]]. *)
 
 val layout : (string * int * int) list
 (** [(field, offset, width)] wire contract, machine-checked by
@@ -120,44 +121,52 @@ val encode_into :
   ack_n:int ->
   flags:flags ->
   window:int ->
-  ?urgent:int ->
-  ?mss:int option ->
-  ?wscale:int option ->
-  ?sack_permitted:bool ->
-  ?sack:(int * int) list ->
+  urgent:int ->
+  mss:int option ->
+  wscale:int option ->
+  sack_permitted:bool ->
+  sack:(int * int) list ->
   payload_len:int ->
   bytes ->
   pos:int ->
   int
-(** Allocation-free {!encode}: the payload must already occupy
+(** {!encode} in place: the payload must already occupy
     [pos + header_bytes ... .. pos + header_bytes ... + payload_len) in
     the buffer; the header is written around it and the checksum computed
     over the whole segment in one pass.  Returns the total segment length.
-    Output is byte-for-byte identical to {!encode}. *)
+    Every argument is a plain label and no option block is built, so a
+    segment allocates nothing.  Output is byte-for-byte identical to
+    {!encode}, the reference it is tested against.
+    @raise Invalid_argument as {!encode}, or if the buffer is too small. *)
 
-val peek :
-  src:Addr.t -> dst:Addr.t -> bytes -> pos:int -> len:int -> (int, error) result
+val peek : src:Addr.t -> dst:Addr.t -> bytes -> pos:int -> len:int -> int
 (** Validate length, data offset and checksum — everything {!decode}
-    checks — without allocating a [t]; returns the data offset (payload
-    start, relative to the segment).  The segment is the [len] bytes at
+    checks — without allocating: the data offset (payload start,
+    relative to the segment, at least 20) of a good segment, 0 for a bad
+    one ({!decode} names the fault).  The segment is the [len] bytes at
     [pos], so a whole IP frame can be peeked without first carving the
     TCP payload out of it, the IP total length bounding the segment.
     Combined with the [peek_*] accessors this lets a receive fast path
     read header fields in place. *)
 
-val of_peeked : bytes -> data_offset:int -> (t, error) result
-(** Finish a {!peek} into a full [t] (option parse + payload copy); the
-    checksum is not re-validated.  [decode = peek >>= of_peeked]. *)
+val of_peeked :
+  bytes -> pos:int -> len:int -> data_offset:int -> (t, error) result
+(** Finish a {!peek} of the [len]-byte segment at [pos] into a full [t]:
+    header and options are read in place, and only the payload is
+    copied.  The checksum is not re-validated.  [decode] is a {!peek} of
+    the whole buffer followed by [of_peeked ~pos:0]. *)
 
-val peek_src_port : ?pos:int -> bytes -> int
-val peek_dst_port : ?pos:int -> bytes -> int
-val peek_seq : ?pos:int -> bytes -> int
-val peek_ack_n : ?pos:int -> bytes -> int
-val peek_window : ?pos:int -> bytes -> int
+val peek_src_port : bytes -> pos:int -> int
+val peek_dst_port : bytes -> pos:int -> int
+val peek_seq : bytes -> pos:int -> int
+val peek_ack_n : bytes -> pos:int -> int
+val peek_window : bytes -> pos:int -> int
 
-val peek_flag_bits : ?pos:int -> bytes -> int
-(** Low six flag bits of the offset/flags word: URG 0x20, ACK 0x10,
-    PSH 0x08, RST 0x04, SYN 0x02, FIN 0x01.  A predictable segment in the
-    header-prediction sense is [0x10] (pure ACK) or [0x18] (ACK|PSH). *)
+val peek_flag_bits : bytes -> pos:int -> int
+(** Low six flag bits of the offset/flags word of the segment at [pos]:
+    URG 0x20, ACK 0x10, PSH 0x08, RST 0x04, SYN 0x02, FIN 0x01.  A
+    predictable segment in the header-prediction sense is [0x10] (pure
+    ACK) or [0x18] (ACK|PSH).  Like every [peek_*] reader, [pos] is a
+    plain label: an optional one would be boxed at each call. *)
 
 val pp : Format.formatter -> t -> unit

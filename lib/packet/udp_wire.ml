@@ -30,7 +30,7 @@ let encode ~src ~dst t =
   let acc =
     Checksum.pseudo_header ~src ~dst ~proto:17 ~len:total
   in
-  let csum = Checksum.of_bytes ~acc buf ~pos:0 ~len:total in
+  let csum = Checksum.finish (Checksum.add_bytes acc buf ~pos:0 ~len:total) in
   (* RFC 768: a computed checksum of zero is transmitted as all ones. *)
   Bytes.set_uint16_be buf 6 (if csum = 0 then 0xffff else csum);
   buf
@@ -52,7 +52,7 @@ let encode_into ~src ~dst ~src_port ~dst_port ~payload_len buf ~pos =
   let acc =
     Checksum.pseudo_header ~src ~dst ~proto:17 ~len:total
   in
-  let csum = Checksum.of_bytes ~acc buf ~pos ~len:total in
+  let csum = Checksum.finish (Checksum.add_bytes acc buf ~pos ~len:total) in
   (* RFC 768: a computed checksum of zero is transmitted as all ones. *)
   Bytes.set_uint16_be buf (pos + 6) (if csum = 0 then 0xffff else csum);
   total
@@ -69,8 +69,8 @@ let peek ~src ~dst buf ~pos ~len =
       let acc =
         Checksum.pseudo_header ~src ~dst ~proto:17 ~len:declared
       in
-      if not (Checksum.valid ~acc buf ~pos ~len:declared) then
-        Error `Bad_checksum
+      if Checksum.finish (Checksum.add_bytes acc buf ~pos ~len:declared) <> 0
+      then Error `Bad_checksum
       else Ok declared
     end
   end

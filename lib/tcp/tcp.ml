@@ -150,13 +150,14 @@ type stats = {
   mutable dropped_acks_invalid : int;
 }
 
-type key = Addr.t * int * Addr.t * int
-
 type t = {
   ip : Ip.Stack.t;
   eng : Engine.t;
   default_cfg : config;
-  conns : (key, conn) Hashtbl.t;
+  (* Demux: every connection, chained by a hash of its four header values
+     (see [find_conn]). *)
+  mutable conns : conn list array;
+  mutable conn_count : int;
   listeners : (int, listener) Hashtbl.t;
   mutable next_ephemeral : int;
   rng : Stdext.Rng.t;
@@ -264,7 +265,7 @@ let stack t = t.ip
 let instance_stats t = t.gstats
 let set_fast_path t v = t.fast <- v
 let fast_path t = t.fast
-let connection_count t = Hashtbl.length t.conns
+let connection_count t = t.conn_count
 
 let metrics_items t () =
   let i v = Trace.Metrics.Int v in
@@ -278,7 +279,7 @@ let metrics_items t () =
     ("challenge_acks_out", i t.gstats.challenge_acks_out);
     ("rst_rejected_inexact", i t.gstats.rst_rejected_inexact);
     ("acks_dropped_invalid", i t.gstats.dropped_acks_invalid);
-    ("connections", i (Hashtbl.length t.conns)) ]
+    ("connections", i t.conn_count) ]
 let state c = c.st
 let stats c = c.cstats
 let cwnd c = c.cwnd
@@ -326,8 +327,62 @@ let effective_cwnd c =
   match c.cfg.cc with No_cc -> 1 lsl 30 | Tahoe | Reno -> c.cwnd
 [@@fastpath]
 
-let key_of c : key =
-  (c.local_addr, c.local_port, c.remote_addr, c.remote_port)
+(* Demux ------------------------------------------------------------------ *)
+
+(* A segment finds its connection from the four header values, compared
+   as ints: no key is built, and a miss raises [Not_found] instead of a
+   hit coming back in [Some], so a lookup allocates nothing.  Buckets are
+   plain lists, a power of two of them, doubled once they average more
+   than two connections.  Nothing iterates the table, so its order never
+   reaches the output. *)
+let demux_slot conns ~laddr ~lport ~raddr ~rport =
+  let remote = ((raddr : Addr.t :> int) lsl 16) lor rport in
+  let local = ((laddr : Addr.t :> int) lsl 16) lor lport in
+  let h = ((remote * 0x2545F4914F6CDD1D) lxor local) * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 31)) land (Array.length conns - 1)
+[@@fastpath]
+
+let rec find_in chain ~laddr ~lport ~raddr ~rport =
+  match chain with
+  | [] -> raise_notrace Not_found
+  | c :: rest ->
+      if
+        c.local_port = lport && c.remote_port = rport
+        && (c.remote_addr :> int) = (raddr : Addr.t :> int)
+        && (c.local_addr :> int) = (laddr : Addr.t :> int)
+      then c
+      else find_in rest ~laddr ~lport ~raddr ~rport
+[@@fastpath]
+
+let find_conn t ~laddr ~lport ~raddr ~rport =
+  find_in
+    t.conns.(demux_slot t.conns ~laddr ~lport ~raddr ~rport)
+    ~laddr ~lport ~raddr ~rport
+[@@fastpath]
+
+let slot_of_conn conns c =
+  demux_slot conns ~laddr:c.local_addr ~lport:c.local_port
+    ~raddr:c.remote_addr ~rport:c.remote_port
+
+let chain_conn conns c =
+  let i = slot_of_conn conns c in
+  conns.(i) <- c :: conns.(i)
+
+let add_conn t c =
+  if t.conn_count >= 2 * Array.length t.conns then begin
+    let old = t.conns in
+    t.conns <- Array.make (2 * Array.length old) [];
+    Array.iter (List.iter (chain_conn t.conns)) old
+  end;
+  chain_conn t.conns c;
+  t.conn_count <- t.conn_count + 1
+
+let remove_conn t c =
+  let i = slot_of_conn t.conns c in
+  if List.memq c t.conns.(i) then begin
+    t.conns.(i) <- List.filter (fun d -> d != c) t.conns.(i);
+    t.conn_count <- t.conn_count - 1
+  end
 
 (* Timer plumbing ------------------------------------------------------- *)
 
@@ -347,7 +402,7 @@ let cancel_all_timers c =
 
 let destroy c reason =
   cancel_all_timers c;
-  Hashtbl.remove c.tcp.conns (key_of c);
+  remove_conn c.tcp c;
   c.st <- Closed;
   if not c.closed_notified then begin
     c.closed_notified <- true;
@@ -356,15 +411,42 @@ let destroy c reason =
 
 (* Segment emission ------------------------------------------------------ *)
 
+(* The seven flag combinations this TCP sends: a segment picks one
+   rather than building a record.  Literals, so the compiler lays them
+   out as static data and they cost the heap nothing. *)
+let f_ack =
+  { Wire.urg = false; ack = true; psh = false; rst = false; syn = false;
+    fin = false }
+let f_ack_psh =
+  { Wire.urg = false; ack = true; psh = true; rst = false; syn = false;
+    fin = false }
+let f_syn =
+  { Wire.urg = false; ack = false; psh = false; rst = false; syn = true;
+    fin = false }
+let f_syn_ack =
+  { Wire.urg = false; ack = true; psh = false; rst = false; syn = true;
+    fin = false }
+let f_fin_ack =
+  { Wire.urg = false; ack = true; psh = false; rst = false; syn = false;
+    fin = true }
+let f_rst =
+  { Wire.urg = false; ack = false; psh = false; rst = true; syn = false;
+    fin = false }
+let f_rst_ack =
+  { Wire.urg = false; ack = true; psh = false; rst = true; syn = false;
+    fin = false }
+
 (* Payload is referenced by send-buffer offset, not passed as bytes: on the
    fast path the stream slice is blitted once, straight into its final
    place in the outgoing frame (reserved IP-header prefix + TCP header +
    payload), headers are written around it in place, and the very same
-   buffer goes down the stack.  The slow path is the original copying
-   [Wire.make]/[Wire.encode]/[Stack.send] chain; both produce identical
-   wire bytes. *)
-let emit_segment c ?(payload_off = 0) ?(payload_len = 0) ?(mss_opt = None)
-    ?(ws_opt = None) ?(sackp = false) ?(sack = []) ~flags ~seq () =
+   buffer goes down the stack; every argument on the way is a plain
+   label, so the frame is all a segment without a SYN allocates.  A SYN
+   carries the connection's offer (MSS, window scale, SACK-permitted),
+   the same on every transmission.  The slow path is the original
+   copying [Wire.make]/[Wire.encode]/[Stack.send] chain; both produce
+   identical wire bytes. *)
+let emit_segment c ~flags ~seq ~payload_off ~payload_len ~sack =
   c.cstats.segs_out <- c.cstats.segs_out + 1;
   if Trace.want Trace.Cls.tcp then
     Trace.emit
@@ -381,25 +463,27 @@ let emit_segment c ?(payload_off = 0) ?(payload_len = 0) ?(mss_opt = None)
     c.delack_timer <- None;
     c.ack_pending <- 0
   end;
-  let window = wire_window c ~syn:flags.Wire.syn in
+  let syn = flags.Wire.syn in
+  let window = wire_window c ~syn in
+  let ack_n = if flags.Wire.ack then c.rcv_nxt else 0 in
+  let mss = if syn then Some c.cfg.mss else None in
+  let wscale = if syn then c.ws_send else None in
+  let sack_permitted = syn && c.sackp_send in
   if c.tcp.fast then begin
-    let hsize =
-      Wire.header_bytes ~wscale:ws_opt ~sack_permitted:sackp ~sack
-        ~mss:mss_opt ()
-    in
+    let hsize = Wire.header_bytes ~mss ~wscale ~sack_permitted ~sack in
     let frame = Bytes.create (Ipv4.header_size + hsize + payload_len) in
     if payload_len > 0 then
       Sendbuf.blit c.sndbuf ~off:payload_off ~len:payload_len frame
         ~pos:(Ipv4.header_size + hsize);
     ignore
       (Wire.encode_into ~src:c.local_addr ~dst:c.remote_addr
-         ~src_port:c.local_port ~dst_port:c.remote_port ~seq
-         ~ack_n:(if flags.Wire.ack then c.rcv_nxt else 0)
-         ~flags ~window ~mss:mss_opt ~wscale:ws_opt ~sack_permitted:sackp
-         ~sack ~payload_len frame ~pos:Ipv4.header_size);
+         ~src_port:c.local_port ~dst_port:c.remote_port ~seq ~ack_n ~flags
+         ~window ~urgent:0 ~mss ~wscale ~sack_permitted ~sack ~payload_len
+         frame ~pos:Ipv4.header_size);
     ignore
-      (Ip.Stack.send_frame c.tcp.ip ~tos:c.cfg.tos ~src:c.local_addr
-         ~proto:Ipv4.Proto.Tcp ~dst:c.remote_addr frame)
+      (Ip.Stack.send_frame c.tcp.ip ~tos:c.cfg.tos ~ttl:Ipv4.default_ttl
+         ~dont_fragment:false ~src:c.local_addr ~proto:Ipv4.Proto.Tcp
+         ~dst:c.remote_addr frame)
   end
   else begin
     let payload =
@@ -408,16 +492,18 @@ let emit_segment c ?(payload_off = 0) ?(payload_len = 0) ?(mss_opt = None)
       else Bytes.empty
     in
     let seg =
-      Wire.make ~seq
-        ~ack_n:(if flags.Wire.ack then c.rcv_nxt else 0)
-        ~flags ~window ~mss:mss_opt ~wscale:ws_opt ~sack_permitted:sackp
-        ~sack ~payload ~src_port:c.local_port ~dst_port:c.remote_port ()
+      Wire.make ~seq ~ack_n ~flags ~window ~mss ~wscale ~sack_permitted ~sack
+        ~payload ~src_port:c.local_port ~dst_port:c.remote_port ()
     in
     let bytes = Wire.encode ~src:c.local_addr ~dst:c.remote_addr seg in
     ignore
       (Ip.Stack.send c.tcp.ip ~tos:c.cfg.tos ~src:c.local_addr
          ~proto:Ipv4.Proto.Tcp ~dst:c.remote_addr bytes)
   end
+
+(* A segment without payload or SACK blocks. *)
+let emit_control c ~flags ~seq =
+  emit_segment c ~flags ~seq ~payload_off:0 ~payload_len:0 ~sack:[]
 
 (* SACK blocks advertising the out-of-order queue (RFC 2018 §4): coalesce
    the sorted ooo list into ranges, then put the range holding the most
@@ -450,7 +536,8 @@ let send_ack c =
   let sack =
     if c.sack_ok && c.ooo <> [] then sack_blocks_of_ooo c else []
   in
-  emit_segment c ~flags:(Wire.flags ~ack:true ()) ~sack ~seq:c.snd_nxt ()
+  emit_segment c ~flags:f_ack ~seq:c.snd_nxt ~payload_off:0 ~payload_len:0
+    ~sack
 
 (* Challenge ACK (RFC 5961): the answer to a suspicious but in-window RST
    or SYN.  A legitimate peer that really did lose state replies with an
@@ -488,14 +575,13 @@ let send_rst_for t ~src ~dst (seg : Wire.t) =
     in
     let reply =
       if seg.Wire.flags.Wire.ack then
-        Wire.make ~seq:seg.Wire.ack_n
-          ~flags:(Wire.flags ~rst:true ())
+        Wire.make ~seq:seg.Wire.ack_n ~flags:f_rst
           ~src_port:seg.Wire.dst_port ~dst_port:seg.Wire.src_port ()
       else
         Wire.make ~seq:0
           ~ack_n:(Seq.add seg.Wire.seq seg_len)
-          ~flags:(Wire.flags ~rst:true ~ack:true ())
-          ~src_port:seg.Wire.dst_port ~dst_port:seg.Wire.src_port ()
+          ~flags:f_rst_ack ~src_port:seg.Wire.dst_port
+          ~dst_port:seg.Wire.src_port ()
     in
     let bytes = Wire.encode ~src:dst ~dst:src reply in
     ignore (Ip.Stack.send t.ip ~src:dst ~proto:Ipv4.Proto.Tcp ~dst:src bytes)
@@ -507,8 +593,7 @@ let abort c =
   | Listen | Syn_received | Established | Fin_wait_1 | Fin_wait_2
   | Close_wait | Closing | Last_ack | Time_wait ->
       c.tcp.gstats.resets_out <- c.tcp.gstats.resets_out + 1;
-      emit_segment c ~flags:(Wire.flags ~rst:true ~ack:true ()) ~seq:c.snd_nxt
-        ());
+      emit_control c ~flags:f_rst_ack ~seq:c.snd_nxt);
   destroy c Reset
 
 (* Retransmission -------------------------------------------------------- *)
@@ -536,16 +621,8 @@ and retransmit_one c =
                (min c.eff_mss
                   (Sendbuf.tail c.sndbuf - off_of_seq c c.snd_una)) });
   match c.st with
-  | Syn_sent ->
-      emit_segment c
-        ~flags:(Wire.flags ~syn:true ())
-        ~seq:c.iss ~mss_opt:(Some c.cfg.mss) ~ws_opt:c.ws_send
-        ~sackp:c.sackp_send ()
-  | Syn_received ->
-      emit_segment c
-        ~flags:(Wire.flags ~syn:true ~ack:true ())
-        ~seq:c.iss ~mss_opt:(Some c.cfg.mss) ~ws_opt:c.ws_send
-        ~sackp:c.sackp_send ()
+  | Syn_sent -> emit_control c ~flags:f_syn ~seq:c.iss
+  | Syn_received -> emit_control c ~flags:f_syn_ack ~seq:c.iss
   | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack
     ->
       let off = off_of_seq c c.snd_una in
@@ -561,13 +638,10 @@ and retransmit_one c =
         in
         c.cstats.bytes_retransmitted <- c.cstats.bytes_retransmitted + len;
         emit_segment c
-          ~flags:(Wire.flags ~ack:true ~psh:(len = data_left) ())
-          ~seq:c.snd_una ~payload_off:off ~payload_len:len ()
+          ~flags:(if len = data_left then f_ack_psh else f_ack)
+          ~seq:c.snd_una ~payload_off:off ~payload_len:len ~sack:[]
       end
-      else if c.fin_sent then
-        emit_segment c
-          ~flags:(Wire.flags ~fin:true ~ack:true ())
-          ~seq:(fin_seq c) ()
+      else if c.fin_sent then emit_control c ~flags:f_fin_ack ~seq:(fin_seq c)
   | Closed | Listen | Time_wait -> ()
 
 and on_rto c =
@@ -662,10 +736,9 @@ let rec output c =
           && not c.fin_pending
         in
         if chunk > 0 && not nagle_hold then begin
-          let psh = chunk = avail in
           emit_segment c
-            ~flags:(Wire.flags ~ack:true ~psh ())
-            ~seq:c.snd_nxt ~payload_off:nxt_off ~payload_len:chunk ();
+            ~flags:(if chunk = avail then f_ack_psh else f_ack)
+            ~seq:c.snd_nxt ~payload_off:nxt_off ~payload_len:chunk ~sack:[];
           if Seq.lt c.snd_nxt c.snd_max then begin
             c.cstats.retransmits <- c.cstats.retransmits + 1;
             c.cstats.bytes_retransmitted <-
@@ -698,9 +771,7 @@ let rec output c =
          | Time_wait ->
              false)
     then begin
-      emit_segment c
-        ~flags:(Wire.flags ~fin:true ~ack:true ())
-        ~seq:c.snd_nxt ();
+      emit_control c ~flags:f_fin_ack ~seq:c.snd_nxt;
       c.fin_sent <- true;
       c.snd_nxt <- Seq.add c.snd_nxt 1;
       c.snd_max <- Seq.max c.snd_max c.snd_nxt;
@@ -731,9 +802,8 @@ and maybe_arm_persist c =
              if c.snd_wnd = 0 && flight c = 0 && can_send_data c then begin
                let nxt_off = off_of_seq c c.snd_nxt in
                if Sendbuf.tail c.sndbuf > nxt_off then begin
-                 emit_segment c
-                   ~flags:(Wire.flags ~ack:true ())
-                   ~seq:c.snd_nxt ~payload_off:nxt_off ~payload_len:1 ();
+                 emit_segment c ~flags:f_ack ~seq:c.snd_nxt
+                   ~payload_off:nxt_off ~payload_len:1 ~sack:[];
                  c.cstats.bytes_out <- c.cstats.bytes_out + 1;
                  c.snd_nxt <- Seq.add c.snd_nxt 1;
                  c.snd_max <- Seq.max c.snd_max c.snd_nxt;
@@ -969,7 +1039,10 @@ and drain_ooo c =
       c.ooo <- rest;
       let skip = Seq.diff c.rcv_nxt seq in
       if skip < Bytes.length data then begin
-        let fresh = Bytes.sub data skip (Bytes.length data - skip) in
+        let fresh =
+          if skip = 0 then data
+          else Bytes.sub data skip (Bytes.length data - skip)
+        in
         accept_text c c.rcv_nxt fresh false
       end
       else drain_ooo c
@@ -1101,7 +1174,9 @@ let rec process_segment c (seg : Wire.t) =
               let skip = Seq.diff c.rcv_nxt seq in
               let keep = max 0 (plen - skip) in
               let fresh =
-                if keep > 0 then Bytes.sub payload skip keep else Bytes.empty
+                if skip = 0 then payload
+                else if keep > 0 then Bytes.sub payload skip keep
+                else Bytes.empty
               in
               (* The FIN may itself be stale if rcv_nxt passed it. *)
               let fin_seq_in = Seq.add seq plen in
@@ -1134,7 +1209,7 @@ let rec process_segment c (seg : Wire.t) =
 
 and send_rst_like c (seg : Wire.t) =
   c.tcp.gstats.resets_out <- c.tcp.gstats.resets_out + 1;
-  emit_segment c ~flags:(Wire.flags ~rst:true ()) ~seq:seg.Wire.ack_n ()
+  emit_control c ~flags:f_rst ~seq:seg.Wire.ack_n
 
 (* SYN-SENT arrival (RFC 793 p.66). *)
 let process_syn_sent c (seg : Wire.t) =
@@ -1190,10 +1265,7 @@ let process_syn_sent c (seg : Wire.t) =
     else begin
       (* Simultaneous open. *)
       (c.st <- Syn_received [@transitions.from "Syn_sent"]);
-      emit_segment c
-        ~flags:(Wire.flags ~syn:true ~ack:true ())
-        ~seq:c.iss ~mss_opt:(Some c.cfg.mss) ~ws_opt:c.ws_send
-        ~sackp:c.sackp_send ();
+      emit_control c ~flags:f_syn_ack ~seq:c.iss;
       arm_rto c
     end
   end
@@ -1261,13 +1333,48 @@ let make_conn t ~cfg ~local_addr ~local_port ~remote_addr ~remote_port
       cstats = new_conn_stats ();
     }
   in
-  Hashtbl.replace t.conns (key_of c) c;
+  add_conn t c;
   c
 
-let alloc_ephemeral t =
-  let p = t.next_ephemeral in
-  t.next_ephemeral <- (if p + 1 > 65535 then 49152 else p + 1);
-  p
+(* Typed open errors, so a caller can match on the cause. *)
+type listen_error = Port_in_use of int
+
+exception Listen_error of listen_error
+
+let listen_error_to_string = function
+  | Port_in_use p -> Printf.sprintf "port %d already has a listener" p
+
+type connect_error = No_free_port of { dst : Addr.t; dst_port : int }
+
+exception Connect_error of connect_error
+
+let connect_error_to_string = function
+  | No_free_port { dst; dst_port } ->
+      Printf.sprintf "every ephemeral port to %s:%d is in use"
+        (Addr.to_string dst) dst_port
+
+let () =
+  Printexc.register_printer (function
+    | Listen_error e -> Some ("Tcp.listen: " ^ listen_error_to_string e)
+    | Connect_error e -> Some ("Tcp.connect: " ^ connect_error_to_string e)
+    | _ -> None)
+
+let ephemeral_first = 49152
+let ephemeral_last = 65535
+
+(* The next ephemeral port, in turn, whose 4-tuple to the peer is free: a
+   wrapped counter must not hand out the port of a live connection. *)
+let alloc_ephemeral t ~local_addr ~dst ~dst_port =
+  let rec next tries =
+    if tries > ephemeral_last - ephemeral_first then
+      raise (Connect_error (No_free_port { dst; dst_port }));
+    let p = t.next_ephemeral in
+    t.next_ephemeral <- (if p = ephemeral_last then ephemeral_first else p + 1);
+    match find_conn t ~laddr:local_addr ~lport:p ~raddr:dst ~rport:dst_port with
+    | _ -> next (tries + 1)
+    | exception Not_found -> p
+  in
+  next 0
 
 let local_addr_for t dst =
   match Ip.Route_table.lookup (Ip.Stack.table t.ip) dst with
@@ -1282,7 +1389,7 @@ let connect t ?config ~dst ~dst_port () =
   let local_addr =
     if Ip.Stack.has_addr t.ip dst then dst else local_addr_for t dst
   in
-  let local_port = alloc_ephemeral t in
+  let local_port = alloc_ephemeral t ~local_addr ~dst ~dst_port in
   t.gstats.active_opens <- t.gstats.active_opens + 1;
   let c =
     make_conn t ~cfg ~local_addr ~local_port ~remote_addr:dst
@@ -1291,26 +1398,10 @@ let connect t ?config ~dst ~dst_port () =
   in
   if cfg.window_scaling then c.ws_send <- Some (desired_wscale cfg);
   c.sackp_send <- cfg.sack;
-  emit_segment c
-    ~flags:(Wire.flags ~syn:true ())
-    ~seq:c.iss ~mss_opt:(Some cfg.mss) ~ws_opt:c.ws_send ~sackp:c.sackp_send
-    ();
+  emit_control c ~flags:f_syn ~seq:c.iss;
   c.timing <- Some (c.iss, Engine.now t.eng);
   arm_rto c;
   c
-
-(* Typed listener errors, replacing the bare [Failure _] of old. *)
-type listen_error = Port_in_use of int
-
-exception Listen_error of listen_error
-
-let listen_error_to_string = function
-  | Port_in_use p -> Printf.sprintf "port %d already has a listener" p
-
-let () =
-  Printexc.register_printer (function
-    | Listen_error e -> Some ("Tcp.listen: " ^ listen_error_to_string e)
-    | _ -> None)
 
 let listen t ~port ~accept =
   if Hashtbl.mem t.listeners port then raise (Listen_error (Port_in_use port));
@@ -1352,10 +1443,7 @@ let passive_open t l ~src ~dst (seg : Wire.t) =
   | Some _ | None -> ());
   c.sackp_send <- c.cfg.sack && seg.Wire.sack_permitted;
   c.sack_ok <- c.sackp_send;
-  emit_segment c
-    ~flags:(Wire.flags ~syn:true ~ack:true ())
-    ~seq:c.iss ~mss_opt:(Some c.cfg.mss) ~ws_opt:c.ws_send
-    ~sackp:c.sackp_send ();
+  emit_control c ~flags:f_syn_ack ~seq:c.iss;
   arm_rto c
 
 (* Header prediction (Van Jacobson): in ESTABLISHED, bulk traffic is a run
@@ -1434,11 +1522,11 @@ let fast_data c ~seq ~ack buf ~pos ~plen =
    on the fast path. *)
 let try_fast c buf ~pos ~len =
   let plen = len - 20 in
-  let seq = Wire.peek_seq ~pos buf in
-  if seq <> c.rcv_nxt || Wire.peek_window ~pos buf lsl c.snd_wscale <> c.snd_wnd
+  let seq = Wire.peek_seq buf ~pos in
+  if seq <> c.rcv_nxt || Wire.peek_window buf ~pos lsl c.snd_wscale <> c.snd_wnd
   then false
   else begin
-    let ack = Wire.peek_ack_n ~pos buf in
+    let ack = Wire.peek_ack_n buf ~pos in
     if plen = 0 then
       if Seq.gt ack c.snd_una && Seq.le ack c.snd_max then begin
         fast_ack c ~seq ~ack;
@@ -1453,19 +1541,36 @@ let try_fast c buf ~pos ~len =
   end
 [@@fastpath]
 
+(* Header prediction's gate for a checksum-valid segment with a bare
+   20-byte header: only ACK (and PSH) set, for an ESTABLISHED connection,
+   and [try_fast] took it. *)
+let predicted t ~src ~dst frame ~pos ~len =
+  let bits = Wire.peek_flag_bits frame ~pos in
+  (bits = 0x10 || bits = 0x18)
+  &&
+  match
+    find_conn t ~laddr:dst ~lport:(Wire.peek_dst_port frame ~pos) ~raddr:src
+      ~rport:(Wire.peek_src_port frame ~pos)
+  with
+  | c -> c.st = Established && try_fast c frame ~pos ~len
+  | exception Not_found -> false
+[@@fastpath]
+
 (* Full dispatch of a segment [src] sent to [dst]: connection lookup, the
    RFC 793 state machine, listeners and orphan RSTs. *)
 let dispatch_segment t ~src ~dst (seg : Wire.t) =
-  let key : key = (dst, seg.Wire.dst_port, src, seg.Wire.src_port) in
-  match Hashtbl.find_opt t.conns key with
-  | Some c -> (
+  match
+    find_conn t ~laddr:dst ~lport:seg.Wire.dst_port ~raddr:src
+      ~rport:seg.Wire.src_port
+  with
+  | c -> (
       match c.st with
       | Syn_sent -> process_syn_sent c seg
       | Closed | Listen -> ()
       | Syn_received | Established | Fin_wait_1 | Fin_wait_2 | Close_wait
       | Closing | Last_ack | Time_wait ->
           process_segment c seg)
-  | None -> (
+  | exception Not_found -> (
       match Hashtbl.find_opt t.listeners seg.Wire.dst_port with
       | Some l
         when l.l_open && seg.Wire.flags.Wire.syn
@@ -1479,36 +1584,21 @@ let dispatch_segment t ~src ~dst (seg : Wire.t) =
 (* IP upcall: [frame] is the whole datagram, its segment running from
    [Ipv4.header_size] to the IP total length, and the addresses are read
    in place.  A predicted segment goes from wire to receive buffer with a
-   single payload-sized copy; any other is carved out once for the full
-   decode. *)
+   single payload-sized copy and no other allocation; any other is read
+   in place into a [Wire.t], its payload copied once, for the full
+   dispatch. *)
 let input t frame =
   let src = Ipv4.peek_src frame and dst = Ipv4.peek_dst frame in
   let pos = Ipv4.header_size in
   let len = Ipv4.peek_total_len frame - pos in
   if t.fast then begin
-    match Wire.peek ~src ~dst frame ~pos ~len with
-    | Error _ -> t.gstats.bad_segments <- t.gstats.bad_segments + 1
-    | Ok data_offset ->
-        let predicted =
-          data_offset = 20
-          && (let bits = Wire.peek_flag_bits ~pos frame in
-              bits = 0x10 || bits = 0x18)
-          &&
-          let key : key =
-            ( dst,
-              Wire.peek_dst_port ~pos frame,
-              src,
-              Wire.peek_src_port ~pos frame )
-          in
-          match Hashtbl.find_opt t.conns key with
-          | Some c when c.st = Established -> try_fast c frame ~pos ~len
-          | Some _ | None -> false
-        in
-        if not predicted then begin
-          match Wire.of_peeked (Bytes.sub frame pos len) ~data_offset with
-          | Error _ -> t.gstats.bad_segments <- t.gstats.bad_segments + 1
-          | Ok seg -> dispatch_segment t ~src ~dst seg
-        end
+    let data_offset = Wire.peek ~src ~dst frame ~pos ~len in
+    if data_offset = 0 then t.gstats.bad_segments <- t.gstats.bad_segments + 1
+    else if not (data_offset = 20 && predicted t ~src ~dst frame ~pos ~len)
+    then
+      match Wire.of_peeked frame ~pos ~len ~data_offset with
+      | Error _ -> t.gstats.bad_segments <- t.gstats.bad_segments + 1
+      | Ok seg -> dispatch_segment t ~src ~dst seg
   end
   else
     match Wire.decode ~src ~dst (Bytes.sub frame pos len) with
@@ -1524,14 +1614,14 @@ let handle_icmp_error t (msg : Packet.Icmp_wire.t) =
       if Bytes.length original >= Ipv4.header_size + 4 then
         match Ipv4.Proto.of_int (Bytes.get_uint8 original 9) with
         | Ipv4.Proto.Tcp -> (
-            let src = Ipv4.peek_src original in
-            let dst = Ipv4.peek_dst original in
-            let sport = Bytes.get_uint16_be original Ipv4.header_size in
-            let dport = Bytes.get_uint16_be original (Ipv4.header_size + 2) in
-            let key : key = (src, sport, dst, dport) in
-            match Hashtbl.find_opt t.conns key with
-            | Some c when c.st = Syn_sent -> destroy c Refused
-            | Some _ | None -> ())
+            match
+              find_conn t ~laddr:(Ipv4.peek_src original)
+                ~lport:(Bytes.get_uint16_be original Ipv4.header_size)
+                ~raddr:(Ipv4.peek_dst original)
+                ~rport:(Bytes.get_uint16_be original (Ipv4.header_size + 2))
+            with
+            | c when c.st = Syn_sent -> destroy c Refused
+            | _ | (exception Not_found) -> ())
         | Ipv4.Proto.Icmp | Ipv4.Proto.Udp | Ipv4.Proto.Other _ -> ())
   | Packet.Icmp_wire.Time_exceeded _ | Packet.Icmp_wire.Echo_request _
   | Packet.Icmp_wire.Echo_reply _ ->
@@ -1543,9 +1633,10 @@ let create ?(config = default_config) ip =
       ip;
       eng = Ip.Stack.engine ip;
       default_cfg = config;
-      conns = Hashtbl.create 16;
+      conns = Array.make 16 [];
+      conn_count = 0;
       listeners = Hashtbl.create 4;
-      next_ephemeral = 49152;
+      next_ephemeral = ephemeral_first;
       rng = Stdext.Rng.create 0x7C0FFEE;
       gstats =
         {

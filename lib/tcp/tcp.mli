@@ -131,6 +131,10 @@ val listen : t -> port:int -> accept:(conn -> unit) -> listener
 
 val close_listener : listener -> unit
 
+type connect_error = No_free_port of { dst : Packet.Addr.t; dst_port : int }
+
+exception Connect_error of connect_error
+
 val connect :
   t ->
   ?config:config ->
@@ -139,7 +143,12 @@ val connect :
   unit ->
   conn
 (** Active open; returns immediately with the connection in [Syn_sent].
-    [config] overrides the instance default for this connection. *)
+    [config] overrides the instance default for this connection.  The
+    local port is the next ephemeral port (49152–65535, taken in turn)
+    whose 4-tuple to the peer is free, so a wrapped counter never
+    shadows a live connection.
+    @raise Connect_error if every ephemeral port to [dst]:[dst_port] is
+    in use. *)
 
 (** {1 Connection API} *)
 

@@ -178,7 +178,10 @@ let sendto s ?src ?tos ?ttl ~dst ~dst_port payload :
     (Wire.encode_into ~src ~dst ~src_port:s.sock_port ~dst_port
        ~payload_len:plen frame ~pos:Ipv4.header_size);
   match
-    Ip.Stack.send_frame t.ip ?tos ?ttl ~src ~proto:Ipv4.Proto.Udp ~dst frame
+    Ip.Stack.send_frame t.ip
+      ~tos:(Option.value tos ~default:Ipv4.Tos.Routine)
+      ~ttl:(Option.value ttl ~default:Ipv4.default_ttl)
+      ~dont_fragment:false ~src ~proto:Ipv4.Proto.Udp ~dst frame
   with
   | Ok () ->
       t.stats.datagrams_out <- t.stats.datagrams_out + 1;

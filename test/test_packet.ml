@@ -196,6 +196,19 @@ let test_ipv4_rejects_bad_fields () =
   check Alcotest.bool "ttl range" true
     (fails (fun () -> Ipv4.encode (mk_header ~ttl:300 ()) ~payload:Bytes.empty))
 
+(* The offset travels in 8-byte units in a 13-bit field: 65,528 is the
+   largest, and a larger one must not spill into the flag bits. *)
+let test_ipv4_frag_offset_bound () =
+  check Alcotest.bool "offset 65536 rejected" true
+    (try
+       ignore (Ipv4.encode (mk_header ~off:65_536 ()) ~payload:Bytes.empty);
+       false
+     with Invalid_argument _ -> true);
+  let frame = Ipv4.encode (mk_header ~off:65_528 ()) ~payload:Bytes.empty in
+  check Alcotest.int "offset 65528 read back" 65_528
+    (Ipv4.peek_frag_offset frame);
+  check Alcotest.bool "MF clear" false (Ipv4.peek_more_fragments frame)
+
 let test_ipv4_tos_coding () =
   List.iter
     (fun tos ->
@@ -352,13 +365,16 @@ let prop_tcp_encode_into_matches_encode =
              ~dst_port:4321 ())
       in
       let pos = 11 (* deliberately unaligned prefix *) in
-      let hsize = Tcpw.header_bytes ~mss () in
+      let hsize =
+        Tcpw.header_bytes ~mss ~wscale:None ~sack_permitted:false ~sack:[]
+      in
       let plen = Bytes.length payload in
       let buf = Bytes.make (pos + hsize + plen + 7) '\xee' in
       Bytes.blit payload 0 buf (pos + hsize) plen;
       let total =
         Tcpw.encode_into ~src ~dst ~src_port:1234 ~dst_port:4321 ~seq ~ack_n
-          ~flags ~window ~mss ~payload_len:plen buf ~pos
+          ~flags ~window ~urgent:0 ~mss ~wscale:None ~sack_permitted:false
+          ~sack:[] ~payload_len:plen buf ~pos
       in
       total = Bytes.length reference
       && Bytes.equal reference (Bytes.sub buf pos total)
@@ -447,15 +463,15 @@ let prop_tcp_encode_into_matches_encode_options =
       in
       let pos = 3 in
       let hsize =
-        Tcpw.header_bytes ~wscale ~sack_permitted:sackp ~sack ~mss ()
+        Tcpw.header_bytes ~mss ~wscale ~sack_permitted:sackp ~sack
       in
       let plen = Bytes.length payload in
       let buf = Bytes.make (pos + hsize + plen + 5) '\xc3' in
       Bytes.blit payload 0 buf (pos + hsize) plen;
       let total =
         Tcpw.encode_into ~src ~dst ~src_port:5 ~dst_port:6 ~seq ~ack_n:77
-          ~flags ~window:3000 ~mss ~wscale ~sack_permitted:sackp ~sack
-          ~payload_len:plen buf ~pos
+          ~flags ~window:3000 ~urgent:0 ~mss ~wscale ~sack_permitted:sackp
+          ~sack ~payload_len:plen buf ~pos
       in
       total = Bytes.length reference
       && Bytes.equal reference (Bytes.sub buf pos total)
@@ -473,21 +489,52 @@ let prop_tcp_peek_matches_decode =
           ~window:(seq_lo land 0xffff) ~payload ~src_port:86 ~dst_port:6502 ()
       in
       let buf = Tcpw.encode ~src ~dst seg in
+      let len = Bytes.length buf in
       match
-        (Tcpw.peek ~src ~dst buf ~pos:0 ~len:(Bytes.length buf),
-         Tcpw.decode ~src ~dst buf)
+        (Tcpw.peek ~src ~dst buf ~pos:0 ~len, Tcpw.decode ~src ~dst buf)
       with
-      | Ok data_offset, Ok d ->
+      | data_offset, Ok d ->
           data_offset = 20
-          && Tcpw.peek_src_port buf = d.Tcpw.src_port
-          && Tcpw.peek_dst_port buf = d.Tcpw.dst_port
-          && Tcpw.peek_seq buf = d.Tcpw.seq
-          && Tcpw.peek_ack_n buf = d.Tcpw.ack_n
-          && Tcpw.peek_window buf = d.Tcpw.window
-          && Tcpw.peek_flag_bits buf = (if seq_lo mod 2 = 0 then 0x18 else 0x10)
-          && (match Tcpw.of_peeked buf ~data_offset with
+          && Tcpw.peek_src_port buf ~pos:0 = d.Tcpw.src_port
+          && Tcpw.peek_dst_port buf ~pos:0 = d.Tcpw.dst_port
+          && Tcpw.peek_seq buf ~pos:0 = d.Tcpw.seq
+          && Tcpw.peek_ack_n buf ~pos:0 = d.Tcpw.ack_n
+          && Tcpw.peek_window buf ~pos:0 = d.Tcpw.window
+          && Tcpw.peek_flag_bits buf ~pos:0
+             = (if seq_lo mod 2 = 0 then 0x18 else 0x10)
+          && (match Tcpw.of_peeked buf ~pos:0 ~len ~data_offset with
              | Ok d' -> d' = d
              | Error _ -> false)
+      | _, Error _ -> false)
+
+let prop_tcp_of_peeked_in_place =
+  (* A segment read where it lies in a larger frame, with bytes before it
+     and link padding after, equals the decode of the segment alone. *)
+  QCheck.Test.make ~name:"tcp of_peeked in a frame equals decode of the slice"
+    ~count:300
+    QCheck.(quad (int_bound 64) (int_bound 3) bool arb_bytes)
+    (fun (pos, blocks, syn, payload) ->
+      let seg =
+        if syn then
+          Tcpw.make ~seq:7 ~flags:(Tcpw.flags ~syn:true ()) ~window:900
+            ~mss:(Some 1400) ~wscale:(Some blocks) ~sack_permitted:true
+            ~payload ~src_port:9 ~dst_port:10 ()
+        else
+          Tcpw.make ~seq:7 ~ack_n:8
+            ~flags:(Tcpw.flags ~ack:true ~psh:true ())
+            ~window:900
+            ~sack:(List.init blocks (fun i -> (100 * i, (100 * i) + 50)))
+            ~payload ~src_port:9 ~dst_port:10 ()
+      in
+      let wire = Tcpw.encode ~src ~dst seg in
+      let len = Bytes.length wire in
+      let frame = Bytes.make (pos + len + 5) '\x5a' in
+      Bytes.blit wire 0 frame pos len;
+      let data_offset = Tcpw.peek ~src ~dst frame ~pos ~len in
+      match
+        (Tcpw.of_peeked frame ~pos ~len ~data_offset, Tcpw.decode ~src ~dst wire)
+      with
+      | Ok in_place, Ok sliced -> data_offset > 0 && in_place = sliced
       | _ -> false)
 
 let prop_ipv4_encode_into_matches_encode =
@@ -648,6 +695,8 @@ let () =
           Alcotest.test_case "truncated" `Quick test_ipv4_truncated;
           Alcotest.test_case "bad version" `Quick test_ipv4_bad_version;
           Alcotest.test_case "field validation" `Quick test_ipv4_rejects_bad_fields;
+          Alcotest.test_case "frag offset bound" `Quick
+            test_ipv4_frag_offset_bound;
           Alcotest.test_case "tos coding" `Quick test_ipv4_tos_coding;
           Alcotest.test_case "proto coding" `Quick test_proto_coding;
           qcheck prop_ipv4_roundtrip;
@@ -670,6 +719,7 @@ let () =
           qcheck prop_tcp_sack_roundtrip;
           qcheck prop_tcp_encode_into_matches_encode_options;
           qcheck prop_tcp_peek_matches_decode;
+          qcheck prop_tcp_of_peeked_in_place;
         ] );
       ( "udp",
         [

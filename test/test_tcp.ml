@@ -481,6 +481,37 @@ let test_duplicate_listener_rejected () =
     Alcotest.fail "expected Listen_error"
   with Tcp.Listen_error (Tcp.Port_in_use 80) -> ()
 
+(* The ephemeral counter wraps after 16,384 connects.  A host keeps one
+   connection on the first port, opens and aborts every other port in
+   the range (to a port nobody listens on), then connects to the live
+   connection's peer again: the new connection must take a free port,
+   not the live one's 4-tuple, and the old connection's bytes must still
+   arrive. *)
+let test_ephemeral_wrap_skips_live_port () =
+  let t, a, b = hosts () in
+  let received, _, _ = sink_server b.Internet.h_tcp ~port:80 in
+  let dst = b_addr t b in
+  let live = Tcp.connect a.Internet.h_tcp ~dst ~dst_port:80 () in
+  Internet.run_for t 1.0;
+  check Alcotest.bool "live connection up" true
+    (Tcp.state live = Tcp.Established);
+  for i = 1 to 16_383 do
+    Tcp.abort (Tcp.connect a.Internet.h_tcp ~dst ~dst_port:81 ());
+    (* Let the aborted connections' SYNs and cancelled timers drain. *)
+    if i mod 1024 = 0 || i = 16_383 then Internet.run_for t 2.0
+  done;
+  (* On the live 4-tuple, this connection's SYN would draw an ACK from
+     b whose answer, a RST, resets b's end of the live connection. *)
+  let next = Tcp.connect a.Internet.h_tcp ~dst ~dst_port:80 () in
+  Internet.run_for t 1.0;
+  ignore (Tcp.send live (Bytes.make 1000 'L'));
+  Internet.run_for t 10.0;
+  check Alcotest.int "live connection's bytes delivered" 1000
+    (Buffer.length received);
+  check Alcotest.bool "next connect skipped the live port" true
+    (Tcp.local_port next <> Tcp.local_port live);
+  check Alcotest.bool "new connection established" true
+    (Tcp.state next = Tcp.Established)
 
 let test_reordering_tolerated () =
   (* Heavy link jitter reorders deliveries; the receiver's out-of-order
@@ -664,6 +695,8 @@ let () =
           Alcotest.test_case "listener closed" `Quick test_listener_close_refuses;
           Alcotest.test_case "icmp refuses syn" `Quick test_icmp_unreachable_refuses_syn;
           Alcotest.test_case "duplicate listener" `Quick test_duplicate_listener_rejected;
+          Alcotest.test_case "ephemeral wrap skips a live port" `Quick
+            test_ephemeral_wrap_skips_live_port;
         ] );
       ( "flow-control",
         [

@@ -125,6 +125,130 @@ let prop_fast_slow_equivalent =
       in
       fast = slow)
 
+(* Exact allocation of a predicted segment, in the style of test_ip's
+   datagram test: the words a host's IP and TCP allocate while receiving
+   one frame, measured around [Ip.Stack.receive] by a handler that
+   stands in for the stack's own. *)
+
+(* A [bytes] of n bytes is n / 8 + 1 words plus its header. *)
+let bytes_words n = (n / 8) + 2
+
+(* A delayed-ACK timer arm: the engine's 3-word handle, TCP's 4-word
+   closure over the connection and the 2-word [Some] that holds the
+   handle. *)
+let timer_arm_words = 9
+
+(* a — g — b with [delay_us] per hop, a listener on b's port 80 whose
+   receive upcall only counts, and a connection from a, established. *)
+let established_pair ~delay_us =
+  let t = Internet.create ~seed:5 ~routing:Internet.Static () in
+  let a = Internet.add_host t "a" in
+  let g = Internet.add_gateway t "g" in
+  let b = Internet.add_host t "b" in
+  let profile = Netsim.profile "p" ~delay_us in
+  ignore (Internet.connect t profile a.Internet.h_node g.Internet.g_node);
+  ignore (Internet.connect t profile g.Internet.g_node b.Internet.h_node);
+  Internet.start t;
+  let server = ref None and received = ref 0 in
+  ignore
+    (Tcp.listen b.Internet.h_tcp ~port:80 ~accept:(fun c ->
+         server := Some c;
+         Tcp.on_receive c (fun d -> received := !received + Bytes.length d)));
+  let client =
+    Tcp.connect a.Internet.h_tcp
+      ~dst:(Internet.addr_of t b.Internet.h_node)
+      ~dst_port:80 ()
+  in
+  Internet.run_for t 1.0;
+  match !server with
+  | Some server when Tcp.state client = Tcp.Established ->
+      (t, a, b, client, server, received)
+  | Some _ | None -> Alcotest.fail "handshake did not complete"
+
+let test_pure_ack_allocates_nothing () =
+  let t, a, _, c, _, _ = established_pair ~delay_us:50_000 in
+  let words = ref (-1) and predicted = ref false in
+  Netsim.set_handler (Internet.net t) a.Internet.h_node (fun ~iface frame ->
+      let acks = (Tcp.stats c).Tcp.fast_path_acks in
+      let w0 = Gc.minor_words () in
+      Ip.Stack.receive a.Internet.h_ip ~iface frame;
+      let w1 = Gc.minor_words () in
+      words := int_of_float (w1 -. w0);
+      predicted := (Tcp.stats c).Tcp.fast_path_acks = acks + 1);
+  (* The first segment is timed, and b's delayed ACK of it (200 ms on)
+     carries the RTT sample.  The second leaves before that ACK is back,
+     untimed, so the ACK that empties the flight samples nothing: it
+     cancels the retransmission timer and finds nothing more to send. *)
+  ignore (Tcp.send c (Bytes.make 100 'x'));
+  Internet.run_for t 0.35;
+  ignore (Tcp.send c (Bytes.make 1460 'y'));
+  Internet.run_for t 2.0;
+  check Alcotest.int "flight empty" (Tcp.snd_nxt c) (Tcp.snd_una c);
+  check Alcotest.bool "last ACK predicted" true !predicted;
+  check Alcotest.int "words to receive it" 0 !words
+
+let test_predicted_data_allocates_its_copy () =
+  let t, _, b, c, s, received = established_pair ~delay_us:1_000 in
+  let eng = Internet.engine t in
+  let n = 512 in
+  let words = Array.make n 0 and plen = Array.make n 0
+  and acked = Array.make n 0 and armed = Array.make n 0
+  and fast = Array.make n 0 and count = ref 0 in
+  let measuring = ref false in
+  Netsim.set_handler (Internet.net t) b.Internet.h_node (fun ~iface frame ->
+      if !measuring && !count < n then begin
+        let i = !count in
+        let data = (Tcp.stats s).Tcp.fast_path_data
+        and out = (Tcp.stats s).Tcp.segs_out
+        and timers = Engine.timer_starts eng in
+        let w0 = Gc.minor_words () in
+        Ip.Stack.receive b.Internet.h_ip ~iface frame;
+        let w1 = Gc.minor_words () in
+        words.(i) <- int_of_float (w1 -. w0);
+        plen.(i) <- Packet.Ipv4.peek_total_len frame - Packet.Ipv4.header_size - 20;
+        fast.(i) <- (Tcp.stats s).Tcp.fast_path_data - data;
+        acked.(i) <- (Tcp.stats s).Tcp.segs_out - out;
+        armed.(i) <- Engine.timer_starts eng - timers;
+        count := i + 1
+      end
+      else Ip.Stack.receive b.Internet.h_ip ~iface frame);
+  let transfer bytes =
+    let goal = !received + bytes in
+    let chunk = Bytes.make bytes 'd' in
+    let sent = ref 0 in
+    while !received < goal do
+      if !sent < bytes then
+        sent := !sent + Tcp.send c (Bytes.sub chunk !sent (bytes - !sent));
+      Internet.run_for t 0.01
+    done
+  in
+  (* Warm-up grows netsim's frame slab and the engine's queue. *)
+  transfer 200_000;
+  measuring := true;
+  transfer 200_000;
+  let ack_frame = bytes_words (Packet.Ipv4.header_size + 20) in
+  let with_ack = ref 0 and with_timer = ref 0 in
+  for i = 0 to !count - 1 do
+    if fast.(i) = 1 then begin
+      let copy = bytes_words plen.(i) in
+      match (acked.(i), armed.(i)) with
+      | 1, 0 ->
+          incr with_ack;
+          check Alcotest.int "copy + ACK frame" (copy + ack_frame) words.(i)
+      | 0, 1 ->
+          incr with_timer;
+          check Alcotest.int "copy + timer arm" (copy + timer_arm_words)
+            words.(i)
+      | o, a' ->
+          Alcotest.failf "segment %d: %d segments out, %d timers armed" i o a'
+    end
+  done;
+  check Alcotest.bool
+    (Printf.sprintf "measured %d ACKing and %d timer-arming segments"
+       !with_ack !with_timer)
+    true
+    (!with_ack >= 20 && !with_timer >= 20)
+
 let () =
   Alcotest.run "tcp-fastpath"
     [
@@ -133,5 +257,12 @@ let () =
           Alcotest.test_case "clean link" `Quick test_clean_link_identical;
           Alcotest.test_case "lossy link" `Quick test_lossy_link_identical;
           qcheck prop_fast_slow_equivalent;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "predicted pure ACK allocates nothing" `Quick
+            test_pure_ack_allocates_nothing;
+          Alcotest.test_case "predicted data allocates its copy" `Quick
+            test_predicted_data_allocates_its_copy;
         ] );
     ]
