@@ -10,21 +10,27 @@ module Udp_wire = Packet.Udp_wire
    node's frame handler — a web of heap objects per endpoint, almost all
    of it never exercised by a host that only sources and sinks datagrams.
 
-   The pool keeps every per-host datum in parallel arrays (one int slot
-   per field per host) and serves *all* pooled hosts' receive traffic
-   with a single shared closure, installed as the netsim-wide default
-   handler.  Attaching host number 10^5 costs five array cells and one
-   index entry; idle hosts cost nothing at all per tick. *)
+   The pool keeps every per-host datum in one int block per slot (node,
+   iface, address, tx count, rx count, [sw] ints at [sw * slot]), so a
+   send or a delivery reads one or two adjacent cache lines of it, and
+   serves *all* pooled hosts' receive traffic with a single shared
+   closure, installed as the netsim-wide default handler.  Attaching
+   host number 10^5 costs five ints and one index entry; idle hosts cost
+   nothing at all per tick. *)
 
 let proto = 0xE1 (* pool datagrams ride proto 225 end to end *)
 
+(* The slot block. *)
+let s_node = 0
+let s_iface = 1
+let s_addr = 2
+let s_tx = 3
+let s_rx = 4
+let sw = 5
+
 type t = {
   net : Netsim.t;
-  mutable node : int array;  (* slot -> netsim node *)
-  mutable iface : int array;  (* slot -> the host's single iface *)
-  mutable addr : Addr.t array;  (* slot -> address *)
-  mutable tx : int array;  (* slot -> datagrams sent *)
-  mutable rx : int array;  (* slot -> datagrams delivered *)
+  mutable slots : int array;  (* [sw] ints per slot *)
   mutable n : int;
   mutable slot_of_node : int array;  (* node -> slot, -1 = not pooled *)
   mutable tx_total : int;
@@ -48,7 +54,8 @@ type t = {
 }
 
 let count_rx t slot =
-  Array.unsafe_set t.rx slot (Array.unsafe_get t.rx slot + 1);
+  let k = (sw * slot) + s_rx in
+  Array.unsafe_set t.slots k (Array.unsafe_get t.slots k + 1);
   t.rx_total <- t.rx_total + 1
 
 (* Everything is read in place from the frame: a datagram for a pooled
@@ -62,26 +69,28 @@ let receive t ~node ~iface:_ frame =
       let p = if Ipv4.valid frame then Ipv4.peek_proto frame else -1 in
       if
         (p = proto || p = 17 (* UDP: see [send_udp] *))
-        && Addr.equal (Ipv4.peek_dst frame) (Array.unsafe_get t.addr slot)
+        && (Ipv4.peek_dst frame :> int)
+           = Array.unsafe_get t.slots ((sw * slot) + s_addr)
       then begin
         if p = proto then count_rx t slot
         else
           let src = Ipv4.peek_src frame and pos = Ipv4.header_size in
-          match
+          let len =
             Udp_wire.peek ~src ~dst:(Ipv4.peek_dst frame) frame ~pos
               ~len:(Ipv4.peek_total_len frame - pos)
-          with
-          | Error _ -> t.rx_stray <- t.rx_stray + 1
-          | Ok len -> (
-              count_rx t slot;
-              match t.udp_sink with
-              | Some sink ->
-                  sink slot ~src
-                    ~src_port:(Udp_wire.peek_src_port frame ~pos)
-                    ~dst_port:(Udp_wire.peek_dst_port frame ~pos)
-                    (Bytes.sub frame (pos + Udp_wire.header_size)
-                       (len - Udp_wire.header_size))
-              | None -> ())
+          in
+          if len = 0 then t.rx_stray <- t.rx_stray + 1
+          else begin
+            count_rx t slot;
+            match t.udp_sink with
+            | Some sink ->
+                sink slot ~src
+                  ~src_port:(Udp_wire.peek_src_port frame ~pos)
+                  ~dst_port:(Udp_wire.peek_dst_port frame ~pos)
+                  (Bytes.sub frame (pos + Udp_wire.header_size)
+                     (len - Udp_wire.header_size))
+            | None -> ()
+          end
       end
       else t.rx_stray <- t.rx_stray + 1
     end
@@ -91,11 +100,7 @@ let create net =
   let t =
     {
       net;
-      node = Array.make 64 0;
-      iface = Array.make 64 0;
-      addr = Array.make 64 Addr.any;
-      tx = Array.make 64 0;
-      rx = Array.make 64 0;
+      slots = Array.make (sw * 64) 0;
       n = 0;
       slot_of_node = Array.make 64 (-1);
       tx_total = 0;
@@ -117,28 +122,27 @@ let grow_to len arr fill =
   arr'
 
 let attach t ~node ~iface ~addr =
-  if t.n = Array.length t.node then begin
-    t.node <- grow_to 0 t.node 0;
-    t.iface <- grow_to 0 t.iface 0;
-    t.addr <- grow_to 0 t.addr Addr.any;
-    t.tx <- grow_to 0 t.tx 0;
-    t.rx <- grow_to 0 t.rx 0
-  end;
+  if sw * t.n = Array.length t.slots then t.slots <- grow_to 0 t.slots 0;
   if node >= Array.length t.slot_of_node then
     t.slot_of_node <- grow_to (node + 1) t.slot_of_node (-1);
   let slot = t.n in
-  t.node.(slot) <- node;
-  t.iface.(slot) <- iface;
-  t.addr.(slot) <- addr;
+  let b = sw * slot in
+  t.slots.(b + s_node) <- node;
+  t.slots.(b + s_iface) <- iface;
+  t.slots.(b + s_addr) <- Addr.to_int addr;
   t.slot_of_node.(node) <- slot;
   t.n <- t.n + 1;
   slot
 
 let set_udp_sink t sink = t.udp_sink <- sink
-let node t slot = t.node.(slot)
-let addr t slot = t.addr.(slot)
-let tx_count t slot = t.tx.(slot)
-let rx_count t slot = t.rx.(slot)
+let field t slot f =
+  if slot < 0 || slot >= t.n then invalid_arg "Hostpool: bad slot";
+  t.slots.((sw * slot) + f)
+
+let node t slot = field t slot s_node
+let addr t slot = Addr.of_int (field t slot s_addr)
+let tx_count t slot = field t slot s_tx
+let rx_count t slot = field t slot s_rx
 let tx_total t = t.tx_total
 let rx_total t = t.rx_total
 let rx_stray t = t.rx_stray
@@ -148,12 +152,13 @@ let pool_proto = Ipv4.Proto.Other proto
 (* Write the IP header into [frame], whose payload is in place after it,
    and send it. *)
 let transmit t slot ~proto ~dst frame =
+  let b = sw * slot in
   Ipv4.encode_fields frame ~tos:Ipv4.Tos.Routine ~id:0 ~dont_fragment:false
-    ~more_fragments:false ~frag_offset:0 ~ttl:64 ~proto ~src:t.addr.(slot)
-    ~dst;
-  t.tx.(slot) <- t.tx.(slot) + 1;
+    ~more_fragments:false ~frag_offset:0 ~ttl:64 ~proto
+    ~src:(Addr.of_int t.slots.(b + s_addr)) ~dst;
+  t.slots.(b + s_tx) <- t.slots.(b + s_tx) + 1;
   t.tx_total <- t.tx_total + 1;
-  Netsim.send t.net t.node.(slot) ~iface:t.iface.(slot) frame
+  Netsim.send t.net t.slots.(b + s_node) ~iface:t.slots.(b + s_iface) frame
 
 let send t slot ~dst payload =
   let len = Bytes.length payload in
@@ -170,7 +175,7 @@ let send_udp t slot ~dst ~src_port ~dst_port payload =
   let frame = Bytes.create (Ipv4.header_size + Udp_wire.header_size + len) in
   Bytes.blit payload 0 frame (Ipv4.header_size + Udp_wire.header_size) len;
   ignore
-    (Udp_wire.encode_into ~src:t.addr.(slot) ~dst ~src_port ~dst_port
+    (Udp_wire.encode_into ~src:(addr t slot) ~dst ~src_port ~dst_port
        ~payload_len:len frame ~pos:Ipv4.header_size
       : int);
   transmit t slot ~proto:Ipv4.Proto.Udp ~dst frame

@@ -1,10 +1,10 @@
 (** Pooled endpoint state for internet-scale populations (E17).
 
-    A pooled host is a netsim node plus five array cells: node, iface,
-    address, tx count, rx count.  All pooled hosts share one receive
-    closure — the netsim-wide default frame handler — so attaching the
-    10^5th endpoint costs a record slot, not a closure web, and an idle
-    endpoint costs nothing per tick.  Gateways keep their full
+    A pooled host is a netsim node plus one block of five ints: node,
+    iface, address, tx count, rx count.  All pooled hosts share one
+    receive closure — the netsim-wide default frame handler — so
+    attaching the 10^5th endpoint costs a slot block, not a closure web,
+    and an idle endpoint costs nothing per tick.  Gateways keep their full
     {!Ip.Stack}; the pool is only for leaf hosts that source and sink
     datagrams. *)
 
@@ -65,6 +65,10 @@ val set_udp_sink :
     per-host closures.  Pool datagrams (proto 225) stay count-only. *)
 
 val size : t -> int
+
+(** The per-slot readers raise [Invalid_argument] on a slot outside
+    [0 .. size t - 1]. *)
+
 val node : t -> int -> Netsim.node_id
 val addr : t -> int -> Packet.Addr.t
 val tx_count : t -> int -> int

@@ -251,6 +251,9 @@ let build cfg =
       host_slot.(r).(i) <- Hostpool.attach pool ~node:hn ~iface:host_if ~addr:a
     done
   done;
+  (* Renumber every gateway's trie depth first, now that it is built. *)
+  Array.iter (fun s -> Ip.Route_table.relayout (Ip.Stack.table s)) core_gw;
+  Array.iter (fun s -> Ip.Route_table.relayout (Ip.Stack.table s)) region_gw;
   { eng; net; pool; core_gw; region_gw; host_slot; core_dist;
     extra = Array.make cfg.regions 0; cfg }
 

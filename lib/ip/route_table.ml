@@ -32,7 +32,13 @@ type route = {
    branches); [lookup] remembers only the deepest matching node with the
    route bit set and reads [routes] once, at the end, so it returns a
    stored option and allocates nothing.  Free nodes are threaded through
-   their bit-0 child slot. *)
+   their bit-0 child slot.
+
+   Nodes are numbered in the order they were allocated, which after a
+   bulk build scatters a walk over the whole array.  [relayout] copies
+   the live nodes in depth-first preorder, so each node's bit-0 child is
+   the next node and a walk down a region gateway's 400 host routes
+   reads neighbouring lines. *)
 
 type t = {
   mutable nd : int array;
@@ -264,6 +270,40 @@ let clear t =
       (Trace.Event.Route_change
          { prefix = Addr.Prefix.make Addr.any 0; metric = 0;
            action = Trace.Event.Route_clear })
+
+(* Copy node [i] of [t] and, depth first, everything below it into
+   [nd]/[routes] from slot [k] on, bit-0 subtree before bit-1 subtree;
+   returns the next free slot. *)
+let rec copy_preorder t nd routes i k =
+  let b = 4 * k in
+  nd.(b) <- t.nd.(4 * i);
+  nd.(b + 1) <- t.nd.((4 * i) + 1);
+  routes.(k) <- t.routes.(i);
+  let k' =
+    match child t i 0 with
+    | -1 ->
+        nd.(b + 2) <- -1;
+        k + 1
+    | c ->
+        nd.(b + 2) <- k + 1;
+        copy_preorder t nd routes c (k + 1)
+  in
+  match child t i 1 with
+  | -1 ->
+      nd.(b + 3) <- -1;
+      k'
+  | c ->
+      nd.(b + 3) <- k';
+      copy_preorder t nd routes c k'
+
+let relayout t =
+  let nd = Array.make (Array.length t.nd) 0 in
+  let routes = Array.make (Array.length t.routes) None in
+  let used = copy_preorder t nd routes root 0 in
+  t.nd <- nd;
+  t.routes <- routes;
+  t.used <- used;
+  t.free_head <- -1
 
 (* The hot path: walk matching nodes from the root, remembering the last
    one that holds a route.  Each step re-checks the node's full prefix

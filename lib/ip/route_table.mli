@@ -50,6 +50,15 @@ val length : t -> int
 (** Number of routes, maintained incrementally — O(1) (daemon stats paths
     call this per tick). *)
 
+val relayout : t -> unit
+(** Renumber the trie's nodes in depth-first preorder, the root first
+    and every node's bit-0 child right after it, so a lookup that
+    descends reads adjacent nodes instead of nodes strewn in insertion
+    order.  Routes, lookups and {!entries} are unchanged; the free list
+    is dropped, as every live node now sits below the high-water mark.
+    [Topo.build] calls it once on every gateway table after the bulk
+    build. *)
+
 val node_count : t -> int
 (** Live trie nodes (structural diagnostic; at most [2 * length t + 1]).
     Tests use it to prove remove/re-add churn reclaims nodes. *)

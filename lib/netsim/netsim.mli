@@ -102,8 +102,8 @@ val set_default_handler :
   t -> (node:node_id -> iface:iface -> bytes -> unit) option -> unit
 (** Fallback receive path for nodes that have no {!set_handler} callback
     of their own: one shared closure serves an arbitrary population of
-    cheap hosts, so attaching the millionth endpoint costs a node record,
-    not another closure web.  A per-node handler always wins; [None]
+    cheap hosts, so attaching the millionth endpoint costs a node's two
+    ints, not another closure web.  A per-node handler always wins; [None]
     removes the fallback. *)
 
 val send : t -> node_id -> ?priority:bool -> iface:iface -> bytes -> bool

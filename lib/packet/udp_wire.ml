@@ -58,20 +58,23 @@ let encode_into ~src ~dst ~src_port ~dst_port ~payload_len buf ~pos =
   total
 
 (* [pos] and [len] are plain labels: an optional argument is boxed at
-   every call from another module. *)
+   every call from another module.  The length comes back as a plain
+   int, 0 for an invalid datagram (a valid one holds at least its
+   header), so a datagram's check allocates nothing; [decode] re-checks
+   a failure to name it. *)
 let peek ~src ~dst buf ~pos ~len =
   if pos < 0 then invalid_arg "Udp_wire.peek: negative pos";
-  if len < header_size then Error `Truncated
+  if len < header_size then 0
   else begin
     let declared = Bytes.get_uint16_be buf (pos + 4) in
-    if declared < header_size || declared > len then Error `Truncated
+    if declared < header_size || declared > len then 0
     else begin
       let acc =
         Checksum.pseudo_header ~src ~dst ~proto:17 ~len:declared
       in
       if Checksum.finish (Checksum.add_bytes acc buf ~pos ~len:declared) <> 0
-      then Error `Bad_checksum
-      else Ok declared
+      then 0
+      else declared
     end
   end
 
@@ -79,15 +82,19 @@ let peek_src_port buf ~pos = Bytes.get_uint16_be buf pos [@@fastpath]
 let peek_dst_port buf ~pos = Bytes.get_uint16_be buf (pos + 2) [@@fastpath]
 
 let decode ?(pos = 0) ~src ~dst buf =
-  match peek ~src ~dst buf ~pos ~len:(Bytes.length buf - pos) with
-  | Error _ as e -> e
-  | Ok declared ->
-      Ok
-        {
-          src_port = peek_src_port buf ~pos;
-          dst_port = peek_dst_port buf ~pos;
-          payload = Bytes.sub buf (pos + header_size) (declared - header_size);
-        }
+  let len = Bytes.length buf - pos in
+  let declared = peek ~src ~dst buf ~pos ~len in
+  if declared = 0 then begin
+    let d = if len < header_size then 0 else Bytes.get_uint16_be buf (pos + 4) in
+    if d < header_size || d > len then Error `Truncated else Error `Bad_checksum
+  end
+  else
+    Ok
+      {
+        src_port = peek_src_port buf ~pos;
+        dst_port = peek_dst_port buf ~pos;
+        payload = Bytes.sub buf (pos + header_size) (declared - header_size);
+      }
 
 let pp fmt t =
   Format.fprintf fmt "udp %d>%d len=%d" t.src_port t.dst_port

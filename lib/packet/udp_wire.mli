@@ -37,14 +37,14 @@ val encode_into :
     the header is written around it.  Returns the total datagram length.
     Output is byte-for-byte identical to {!encode}. *)
 
-val peek :
-  src:Addr.t -> dst:Addr.t -> bytes -> pos:int -> len:int -> (int, error) result
+val peek : src:Addr.t -> dst:Addr.t -> bytes -> pos:int -> len:int -> int
 (** Validate the datagram that starts at [pos] within the [len] bytes
     there, e.g. the transport part of a received IP frame, bounded by the
     IP total length: its length field, then its checksum, over the buffer
-    in place.  Returns the datagram's length, header included; its
+    in place.  Returns the datagram's length, header included, or 0 for
+    an invalid datagram ({!decode} names the fault); a valid datagram's
     payload is the bytes from [pos + header_size] up to [pos] plus that
-    length.  Nothing is copied or allocated but the result.
+    length.  Nothing is copied or allocated.
     @raise Invalid_argument on a negative [pos]. *)
 
 val peek_src_port : bytes -> pos:int -> int

@@ -63,21 +63,20 @@ let port s = s.sock_port
    the IP total length; only a delivered payload is copied. *)
 let handle t frame =
   let src = Ipv4.peek_src frame and pos = Ipv4.header_size in
-  match
+  let len =
     Wire.peek ~src ~dst:(Ipv4.peek_dst frame) frame ~pos
       ~len:(Ipv4.peek_total_len frame - pos)
-  with
-  | Error _ -> t.stats.bad <- t.stats.bad + 1
-  | Ok len -> (
-      match Hashtbl.find_opt t.ports (Wire.peek_dst_port frame ~pos) with
-      | Some sock when sock.open_ ->
-          t.stats.datagrams_in <- t.stats.datagrams_in + 1;
-          sock.recv ~src ~src_port:(Wire.peek_src_port frame ~pos)
-            (Bytes.sub frame (pos + Wire.header_size) (len - Wire.header_size))
-      | Some _ | None ->
-          t.stats.no_port <- t.stats.no_port + 1;
-          Ip.Stack.icmp_unreachable t.ip frame
-            Packet.Icmp_wire.Port_unreachable)
+  in
+  if len = 0 then t.stats.bad <- t.stats.bad + 1
+  else
+    match Hashtbl.find t.ports (Wire.peek_dst_port frame ~pos) with
+    | sock when sock.open_ ->
+        t.stats.datagrams_in <- t.stats.datagrams_in + 1;
+        sock.recv ~src ~src_port:(Wire.peek_src_port frame ~pos)
+          (Bytes.sub frame (pos + Wire.header_size) (len - Wire.header_size))
+    | _ | (exception Not_found) ->
+        t.stats.no_port <- t.stats.no_port + 1;
+        Ip.Stack.icmp_unreachable t.ip frame Packet.Icmp_wire.Port_unreachable
 
 let create ip =
   let t =

@@ -343,6 +343,110 @@ let test_link_flap_log () =
   check deliveries "jitter delivery log" [ (7_663, "e"); (17_743, "f") ] log;
   check counters "jitter counters" [ 4; 325; 2; 0; 0; 1; 0; 0 ] stats
 
+(* What a netsim holds per pooled host: one leaf node and the link to
+   its gateway, [links] of them around one hub, in words reachable from
+   the net.  [links] fills the link arrays' capacity, a power of two. *)
+let words_per_host links =
+  let eng = Engine.create () in
+  let net = Netsim.create ~seed:1 eng in
+  let hub = Netsim.add_node net "g" in
+  let p = Netsim.profile "host" in
+  for _ = 1 to links do
+    ignore (Netsim.add_link net p hub (Netsim.add_node net "h"))
+  done;
+  float (Obj.reachable_words (Obj.repr net)) /. float links
+
+let test_footprint () =
+  (* One int block per link, two ints per node and a clean link's
+     stream shared make 37.52 words, the node arrays' doubling slack
+     included. *)
+  let w = words_per_host 65_536 in
+  check Alcotest.bool (Printf.sprintf "%.2f words per host node and link" w)
+    true (w <= 37.6)
+
+(* Every link owns its place in the split order, drawing or not: a mixed
+   net of clean, lossy, jittered and lossy-jittered links, in an order
+   that puts clean links between the others, sends 12 frames over each,
+   one every 2 ms, and logs each frame's delivery time or -1 for a loss.
+   The log is pinned: a clean link that skipped its split, or a loss
+   draw skipped on a jitter-only link, would move every later link's. *)
+let stream_log () =
+  let eng = Engine.create () in
+  let net = Netsim.create ~seed:7 eng in
+  let p ?loss ?jitter_us name =
+    Netsim.profile name ~bandwidth_bps:1_000_000 ~delay_us:1_000 ?loss
+      ?jitter_us
+  in
+  let profiles =
+    [ p "clean"; p ~loss:0.3 "lossy"; p "clean"; p ~jitter_us:700 "jitter";
+      p "clean"; p ~loss:0.2 ~jitter_us:400 "both"; p ~loss:0.5 "lossy" ]
+  in
+  let log =
+    List.map
+      (fun prof ->
+        let a = Netsim.add_node net "a" and b = Netsim.add_node net "b" in
+        ignore (Netsim.add_link net prof a b);
+        let times = Array.make 12 (-1) in
+        Netsim.set_handler net b (fun ~iface:_ f ->
+            times.(Bytes.get_uint8 f 0) <- Engine.now eng);
+        for i = 0 to 11 do
+          Engine.schedule eng ~at:(i * 2_000) (fun () ->
+              ignore (Netsim.send net a ~iface:0 (Bytes.make 50 (Char.chr i))))
+        done;
+        times)
+      profiles
+  in
+  Engine.run eng;
+  List.map Array.to_list log
+
+let test_stream_log () =
+  let clean = List.init 12 (fun i -> (i * 2_000) + 1_400) in
+  check
+    Alcotest.(list (list int))
+    "delivery times, -1 for a loss"
+    [ clean;
+      [ 1400; 3400; 5400; -1; 9400; -1; -1; 15400; 17400; 19400; -1; 23400 ];
+      clean;
+      [ 1474; 3664; 5943; 7790; 9569; 11767; 14024; 15986; 17866; 20052;
+        21817; 23644 ];
+      clean;
+      [ 1748; 3612; 5563; 7481; 9587; 11573; -1; 15535; 17674; 19778; 21592;
+        23772 ];
+      [ -1; -1; -1; 7400; 9400; 11400; -1; -1; 17400; -1; 21400; -1 ] ]
+    (stream_log ())
+
+let test_tap_across_growth () =
+  (* The tap array is made at the first tap and covers the links then in
+     place; the link arrays growing past it keeps that tap, and a link
+     added later can still be tapped, and untapped. *)
+  let eng = Engine.create () in
+  let net = Netsim.create ~seed:1 eng in
+  let node () = Netsim.add_node net "n" in
+  let a = node () and b = node () in
+  let l0 = Netsim.add_link net (Netsim.profile "p") a b in
+  let seen = ref [] in
+  let tap name = Some (fun ~dir f -> seen := (name, dir, Bytes.length f) :: !seen) in
+  Netsim.set_link_tap net l0 (tap "l0");
+  for _ = 1 to 40 do
+    ignore (Netsim.add_link net (Netsim.profile "p") (node ()) (node ()))
+  done;
+  let c = node () in
+  let late = Netsim.add_link net (Netsim.profile "p") b c in
+  ignore (Netsim.send net a ~iface:0 (Bytes.make 10 'x'));
+  Engine.run eng;
+  check Alcotest.(list (triple string int int)) "early tap, after growth"
+    [ ("l0", 0, 10) ] !seen;
+  Netsim.set_link_tap net late (tap "late");
+  ignore (Netsim.send net c ~iface:0 (Bytes.make 20 'y'));
+  ignore (Netsim.send net b ~iface:0 (Bytes.make 30 'z'));
+  Engine.run eng;
+  check Alcotest.(list (triple string int int)) "late tap"
+    [ ("l0", 1, 30); ("late", 1, 20); ("l0", 0, 10) ] !seen;
+  Netsim.set_link_tap net l0 None;
+  ignore (Netsim.send net a ~iface:0 (Bytes.make 10 'x'));
+  Engine.run eng;
+  check Alcotest.int "untapped" 3 (List.length !seen)
+
 let () =
   Alcotest.run "netsim"
     [
@@ -376,5 +480,11 @@ let () =
           Alcotest.test_case "self link" `Quick test_self_link_rejected;
           Alcotest.test_case "stats" `Quick test_stats_totals;
           Alcotest.test_case "determinism" `Quick test_determinism_across_runs;
+        ] );
+      ( "layout",
+        [
+          Alcotest.test_case "footprint" `Quick test_footprint;
+          Alcotest.test_case "stream log" `Quick test_stream_log;
+          Alcotest.test_case "tap across growth" `Quick test_tap_across_growth;
         ] );
     ]

@@ -187,6 +187,37 @@ let prop_entries_longest_first =
       in
       List.sort (fun a b -> Int.compare b a) lens = lens)
 
+(* [relayout] renumbers nodes and changes nothing a caller can ask: every
+   answer before it equals the one after it, and later adds and removes
+   keep agreeing with the reference. *)
+let observe trie =
+  ( List.map (fun a -> Option.map route_key (Rt.lookup trie a)) probes,
+    List.concat_map
+      (fun s ->
+        List.map
+          (fun l -> Option.map route_key (Rt.find trie (prefix_of (s, l))))
+          [ 0; 8; 12; 16; 20; 24; 30; 32 ])
+      (List.init 20 (fun i -> i * 37)),
+    List.map route_key (Rt.entries trie),
+    Rt.length trie,
+    Rt.node_count trie )
+
+let prop_relayout_preserves =
+  QCheck.Test.make ~count:300 ~name:"relayout changes no answer"
+    (QCheck.pair ops_arb ops_arb) (fun (ops, later) ->
+      let trie = Rt.create () and refr = Ref_table.create () in
+      apply_ops trie refr ops;
+      let before = observe trie in
+      Rt.relayout trie;
+      before = observe trie
+      && begin
+           apply_ops trie refr later;
+           List.for_all
+             (fun a -> same_route (Rt.lookup trie a) (Ref_table.lookup refr a))
+             probes
+           && Rt.length trie = Ref_table.length refr
+         end)
+
 (* --- directed cases ----------------------------------------------------- *)
 
 let route prefix iface metric =
@@ -285,6 +316,58 @@ let test_lookup_allocation_free () =
     (Printf.sprintf "lookup allocates nothing (%.1f B/op)" per)
     true (per < 1.0)
 
+(* The packed node array and its high-water mark, the first and third
+   fields of [Route_table.t]: the module exports no view of its layout,
+   which is what these tests check. *)
+let layout (t : Rt.t) : int array * int =
+  let r = Obj.repr t in
+  (Obj.obj (Obj.field r 0), Obj.obj (Obj.field r 2))
+
+(* Depth-first preorder: the root is node 0, with the default prefix,
+   every node below the mark is live, and each bit-0 child is the node
+   right after its parent. *)
+let preorder (t : Rt.t) =
+  let nd, used = layout t in
+  nd.(0) = 0 && nd.(1) lsr 1 = 0 && used = Rt.node_count t
+  && List.for_all
+       (fun i -> nd.((4 * i) + 2) = -1 || nd.((4 * i) + 2) = i + 1)
+       (List.init used Fun.id)
+
+let test_relayout_preorder () =
+  (* Routes added broad to narrow and bit-1 halves first leave the trie
+     in allocation order, which is not preorder; churn adds free-list
+     reuse on top.  [relayout] renumbers it depth first. *)
+  let t = Rt.create () in
+  Rt.add t (route "0.0.0.0/0" 9 10);
+  for i = 255 downto 0 do
+    Rt.add t (route (Printf.sprintf "10.%d.0.0/16" i) 1 1)
+  done;
+  for i = 0 to 63 do
+    Rt.add t (route (Printf.sprintf "10.%d.%d.0/24" (i * 4) i) 2 1);
+    Rt.remove t (Prefix.of_string (Printf.sprintf "10.%d.0.0/16" (i * 2 + 1)))
+  done;
+  Alcotest.(check bool) "allocation order is not preorder" false (preorder t);
+  let before = Rt.entries t and nodes = Rt.node_count t in
+  Rt.relayout t;
+  Alcotest.(check bool) "preorder after relayout" true (preorder t);
+  Alcotest.(check int) "same nodes" nodes (Rt.node_count t);
+  Alcotest.(check bool) "same routes" true
+    (List.map route_key before = List.map route_key (Rt.entries t))
+
+let test_topo_tables_preorder () =
+  (* Topo.build lays out every gateway's table depth first. *)
+  let topo =
+    Topo.build { Topo.default_config with regions = 6; hosts_per_region = 40 }
+  in
+  for c = 0 to Topo.core_size topo - 1 do
+    Alcotest.(check bool) (Printf.sprintf "core %d" c) true
+      (preorder (Ip.Stack.table (Topo.core_gw topo c)))
+  done;
+  for r = 0 to Topo.regions topo - 1 do
+    Alcotest.(check bool) (Printf.sprintf "region %d" r) true
+      (preorder (Ip.Stack.table (Topo.region_gw topo r)))
+  done
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "route_trie"
@@ -295,6 +378,7 @@ let () =
           qt prop_find_matches;
           qt prop_entries_match;
           qt prop_entries_longest_first;
+          qt prop_relayout_preserves;
         ] );
       ( "directed",
         [
@@ -304,5 +388,9 @@ let () =
             test_churn_reclaims_nodes;
           Alcotest.test_case "lookup allocation-free" `Quick
             test_lookup_allocation_free;
+          Alcotest.test_case "relayout is preorder" `Quick
+            test_relayout_preorder;
+          Alcotest.test_case "topo tables are preorder" `Quick
+            test_topo_tables_preorder;
         ] );
     ]

@@ -143,6 +143,38 @@ let test_pool_udp_bad_checksum_no_sink () =
   check Alcotest.int "corrupt: not in the total" 1 (Hostpool.rx_total pool);
   check Alcotest.int "corrupt: counted as a stray" 1 (Hostpool.rx_stray pool)
 
+let test_pool_udp_no_sink_allocates_nothing () =
+  (* A valid UDP datagram to a pooled host with no sink is counted in
+     place: its link hop and the pool's check allocate nothing. *)
+  let eng = Engine.create () in
+  let net = Netsim.create ~seed:3 eng in
+  let ns = Netsim.add_node net "s" in
+  let nd = Netsim.add_node net "d" in
+  ignore (Netsim.add_link net (Netsim.profile "l") ns nd);
+  let pool = Hostpool.create net in
+  let src = Packet.Addr.v 10 0 0 1 and dst = Packet.Addr.v 10 0 0 2 in
+  let d = Hostpool.attach pool ~node:nd ~iface:0 ~addr:dst in
+  let frame =
+    Packet.Ipv4.encode
+      (Packet.Ipv4.make_header ~proto:Packet.Ipv4.Proto.Udp ~src ~dst ())
+      ~payload:
+        (Packet.Udp_wire.encode ~src ~dst
+           { Packet.Udp_wire.src_port = 53; dst_port = 5353;
+             payload = Bytes.make 64 'q' })
+  in
+  (* Warm-up: grows netsim's frame slab. *)
+  ignore (Netsim.send net ns ~iface:0 frame);
+  Engine.run eng;
+  for _ = 1 to 4 do
+    let w0 = Gc.minor_words () in
+    ignore (Netsim.send net ns ~iface:0 frame);
+    Engine.run eng;
+    let w1 = Gc.minor_words () in
+    check Alcotest.int "words per datagram" 0 (int_of_float (w1 -. w0))
+  done;
+  check Alcotest.int "all delivered" 5 (Hostpool.rx_count pool d);
+  check Alcotest.int "no strays" 0 (Hostpool.rx_stray pool)
+
 let () =
   Alcotest.run "topo"
     [
@@ -158,6 +190,8 @@ let () =
           Alcotest.test_case "all region pairs" `Quick test_all_pairs_regions;
           Alcotest.test_case "pool udp bad checksum" `Quick
             test_pool_udp_bad_checksum;
+          Alcotest.test_case "pool udp without sink allocates nothing" `Quick
+            test_pool_udp_no_sink_allocates_nothing;
           Alcotest.test_case "pool udp bad checksum, no sink" `Quick
             test_pool_udp_bad_checksum_no_sink;
         ] );

@@ -195,6 +195,34 @@ let test_loopback_to_self () =
   Engine.run w.eng;
   check Alcotest.int "self delivery" 1 !got
 
+let test_receive_allocates_payload_only () =
+  (* A valid datagram to a bound socket costs its payload copy and
+     nothing else: no result box from the check, no option from the
+     port lookup. *)
+  let w = world () in
+  let last = ref Bytes.empty in
+  ignore (Udp.bind w.b ~port:5000 ~recv:(fun ~src:_ ~src_port:_ p -> last := p) ());
+  let payload = Bytes.make 100 'u' in
+  let frame =
+    Packet.Ipv4.encode
+      (Packet.Ipv4.make_header ~proto:Packet.Ipv4.Proto.Udp ~src:w.a_addr
+         ~dst:w.b_addr ())
+      ~payload:
+        (Packet.Udp_wire.encode ~src:w.a_addr ~dst:w.b_addr
+           { Packet.Udp_wire.src_port = 6000; dst_port = 5000; payload })
+  in
+  Ip.Stack.receive w.b_ip ~iface:0 frame;
+  (* A [bytes] of n bytes is n / 8 + 1 words plus its header. *)
+  let payload_words = (Bytes.length payload / 8) + 2 in
+  for _ = 1 to 4 do
+    let w0 = Gc.minor_words () in
+    Ip.Stack.receive w.b_ip ~iface:0 frame;
+    let w1 = Gc.minor_words () in
+    check Alcotest.int "the payload copy" payload_words (int_of_float (w1 -. w0))
+  done;
+  check Alcotest.bool "delivered" true (Bytes.equal !last payload);
+  check Alcotest.int "datagrams in" 5 (Udp.stats w.b).Udp.datagrams_in
+
 let () =
   Alcotest.run "udp"
     [
@@ -219,5 +247,7 @@ let () =
           Alcotest.test_case "fragmented datagram" `Quick
             test_large_datagram_fragments;
           Alcotest.test_case "loopback" `Quick test_loopback_to_self;
+          Alcotest.test_case "receive allocates the payload only" `Quick
+            test_receive_allocates_payload_only;
         ] );
     ]
