@@ -14,7 +14,14 @@ val zero : acc
 val add_bytes : acc -> bytes -> pos:int -> len:int -> acc
 (** Fold a byte range into the accumulator.  A trailing odd byte is padded
     with zero, as the RFC specifies; callers must therefore only split
-    input on even offsets. *)
+    input on even offsets.
+
+    The range is summed in native byte order, eight bytes a load, and the
+    folded 16-bit total is byte-swapped into network order once (RFC 1071
+    §2), so the result equals the big-endian word sum bit for bit on
+    either kind of host and allocates nothing.  One range check guards
+    the unchecked loads: [Invalid_argument] unless [pos >= 0], [len >= 0]
+    and [pos + len <= Bytes.length b]. *)
 
 val finish : acc -> int
 (** Final one's-complement (bit-flipped) 16-bit checksum.  A range that

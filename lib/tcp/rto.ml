@@ -1,7 +1,7 @@
 type t = {
   min_rto : int;
   max_rto : int;
-  mutable srtt : int option;
+  mutable srtt : int; (* negative until the first sample *)
   mutable rttvar : int;
   mutable base_rto : int;
   mutable shift : int; (* backoff exponent *)
@@ -12,7 +12,7 @@ let create ?(initial_rto_us = 1_000_000) ?(min_rto_us = 200_000)
   {
     min_rto = min_rto_us;
     max_rto = max_rto_us;
-    srtt = None;
+    srtt = -1;
     rttvar = 0;
     base_rto = initial_rto_us;
     shift = 0;
@@ -21,19 +21,19 @@ let create ?(initial_rto_us = 1_000_000) ?(min_rto_us = 200_000)
 let clamp t v = min t.max_rto (max t.min_rto v) [@@fastpath]
 
 let sample t rtt =
-  (match t.srtt with
-  | None ->
-      (* First measurement (RFC 6298 2.2). *)
-      t.srtt <- Some rtt;
-      t.rttvar <- rtt / 2
-  | Some srtt ->
-      (* RTTVAR := 3/4 RTTVAR + 1/4 |SRTT - R|; SRTT := 7/8 SRTT + 1/8 R *)
-      t.rttvar <- ((3 * t.rttvar) + abs (srtt - rtt)) / 4;
-      t.srtt <- Some (((7 * srtt) + rtt) / 8));
-  (match t.srtt with
-  | Some srtt -> t.base_rto <- clamp t (srtt + max 1 (4 * t.rttvar))
-  | None -> ());
+  if t.srtt < 0 then begin
+    (* First measurement (RFC 6298 2.2). *)
+    t.srtt <- rtt;
+    t.rttvar <- rtt / 2
+  end
+  else begin
+    (* RTTVAR := 3/4 RTTVAR + 1/4 |SRTT - R|; SRTT := 7/8 SRTT + 1/8 R *)
+    t.rttvar <- ((3 * t.rttvar) + abs (t.srtt - rtt)) / 4;
+    t.srtt <- ((7 * t.srtt) + rtt) / 8
+  end;
+  t.base_rto <- clamp t (t.srtt + max 1 (4 * t.rttvar));
   t.shift <- 0
+[@@fastpath]
 
 let rto t = min t.max_rto (t.base_rto lsl t.shift) [@@fastpath]
 
@@ -41,6 +41,6 @@ let backoff t = if t.base_rto lsl t.shift < t.max_rto then t.shift <- t.shift + 
 
 let reset_backoff t = t.shift <- 0 [@@fastpath]
 
-let srtt t = t.srtt
+let srtt t = if t.srtt < 0 then None else Some t.srtt
 
-let rttvar t = match t.srtt with None -> None | Some _ -> Some t.rttvar
+let rttvar t = if t.srtt < 0 then None else Some t.rttvar

@@ -12,7 +12,8 @@ val create : ?initial_rto_us:int -> ?min_rto_us:int -> ?max_rto_us:int -> unit -
 (** Defaults: initial 1 s, floor 200 ms, ceiling 60 s. *)
 
 val sample : t -> int -> unit
-(** Feed one RTT measurement in microseconds; resets backoff. *)
+(** Feed one RTT measurement in microseconds (non-negative); resets
+    backoff.  Allocates nothing. *)
 
 val rto : t -> int
 (** Current timeout in microseconds, backoff included. *)

@@ -233,8 +233,10 @@ and conn = {
   mutable ack_pending : int;
   mutable persist_timer : Engine.Timer.handle option;
   mutable timewait_timer : Engine.Timer.handle option;
-  (* RTT measurement in flight: (sequence being timed, send time). *)
-  mutable timing : (int * int) option;
+  (* RTT measurement in flight: the sequence being timed and its send
+     time, or a negative [timed_at] when no segment is timed. *)
+  mutable timed_seq : int;
+  mutable timed_at : int;
   (* Callbacks. *)
   mutable cb_established : (unit -> unit) option;
   mutable cb_receive : (bytes -> unit) option;
@@ -609,7 +611,7 @@ let rec arm_rto c =
 
 and retransmit_one c =
   (* Karn's rule: a retransmitted sequence range must not be timed. *)
-  c.timing <- None;
+  c.timed_at <- -1;
   c.cstats.retransmits <- c.cstats.retransmits + 1;
   if Trace.want Trace.Cls.tcp then
     Trace.emit
@@ -681,7 +683,7 @@ and on_rto c =
            scoreboard survives (RFC 2018 §8 makes discarding it optional,
            and the peer's reneging would show up as holes re-reported),
            so the rollback resend skips SACKed ranges. *)
-        c.timing <- None;
+        c.timed_at <- -1;
         c.snd_nxt <- c.snd_una;
         if c.fin_sent && Seq.le c.snd_una (fin_seq c) then
           c.fin_sent <- false;
@@ -751,8 +753,10 @@ let rec output c =
           end
           else begin
             c.cstats.bytes_out <- c.cstats.bytes_out + chunk;
-            if c.timing = None then
-              c.timing <- Some (c.snd_nxt, Engine.now c.tcp.eng)
+            if c.timed_at < 0 then begin
+              c.timed_seq <- c.snd_nxt;
+              c.timed_at <- Engine.now c.tcp.eng
+            end
           end;
           c.snd_nxt <- Seq.add c.snd_nxt chunk;
           c.snd_max <- Seq.max c.snd_max c.snd_nxt;
@@ -919,6 +923,15 @@ let mark_established c =
   | Some _ | None -> ());
   match c.cb_established with Some f -> f () | None -> ()
 
+(* An ACK beyond the timed sequence completes the RTT sample (Karn-safe:
+   timing is cleared on retransmission). *)
+let sample_rtt c ~ack =
+  if c.timed_at >= 0 && Seq.gt ack c.timed_seq then begin
+    Rto.sample c.rto (Engine.now c.tcp.eng - c.timed_at);
+    c.timed_at <- -1
+  end
+[@@fastpath]
+
 (* ACK processing (RFC 793 p.72).  Returns false if the segment should not
    be processed further (stale ACK of unsent data). *)
 let process_ack c (seg : Wire.t) =
@@ -955,12 +968,7 @@ let process_ack c (seg : Wire.t) =
       (* Drop acknowledged stream bytes (the FIN consumes no buffer). *)
       let new_base = min (off_of_seq c ack) (Sendbuf.tail c.sndbuf) in
       Sendbuf.drop_until c.sndbuf new_base;
-      (* RTT sample (Karn-safe: timing is cleared on retransmission). *)
-      (match c.timing with
-      | Some (tseq, at) when Seq.gt ack tseq ->
-          Rto.sample c.rto (Engine.now c.tcp.eng - at);
-          c.timing <- None
-      | Some _ | None -> ());
+      sample_rtt c ~ack;
       c.retries <- 0;
       Rto.reset_backoff c.rto;
       cc_on_new_ack c acked;
@@ -1254,10 +1262,9 @@ let process_syn_sent c (seg : Wire.t) =
       c.rto_timer <- None;
       c.retries <- 0;
       (* The SYN round trip is a valid RTT sample. *)
-      (match c.timing with
-      | Some (_, at) -> Rto.sample c.rto (Engine.now c.tcp.eng - at)
-      | None -> ());
-      c.timing <- None;
+      if c.timed_at >= 0 then
+        Rto.sample c.rto (Engine.now c.tcp.eng - c.timed_at);
+      c.timed_at <- -1;
       send_ack c;
       mark_established c;
       output c
@@ -1324,7 +1331,8 @@ let make_conn t ~cfg ~local_addr ~local_port ~remote_addr ~remote_port
       ack_pending = 0;
       persist_timer = None;
       timewait_timer = None;
-      timing = None;
+      timed_seq = 0;
+      timed_at = -1;
       cb_established = None;
       cb_receive = None;
       cb_peer_fin = None;
@@ -1399,7 +1407,8 @@ let connect t ?config ~dst ~dst_port () =
   if cfg.window_scaling then c.ws_send <- Some (desired_wscale cfg);
   c.sackp_send <- cfg.sack;
   emit_control c ~flags:f_syn ~seq:c.iss;
-  c.timing <- Some (c.iss, Engine.now t.eng);
+  c.timed_seq <- c.iss;
+  c.timed_at <- Engine.now t.eng;
   arm_rto c;
   c
 
@@ -1466,12 +1475,7 @@ let fast_ack c ~seq ~ack =
   if Seq.lt c.snd_nxt c.snd_una then c.snd_nxt <- c.snd_una;
   let new_base = min (off_of_seq c ack) (Sendbuf.tail c.sndbuf) in
   Sendbuf.drop_until c.sndbuf new_base;
-  (match c.timing with
-  | Some (tseq, at) when Seq.gt ack tseq ->
-      (* RTT smoothing touches an option cell; once per timed segment. *)
-      (Rto.sample c.rto (Engine.now c.tcp.eng - at) [@fastpath.exempt]);
-      c.timing <- None
-  | Some _ | None -> ());
+  sample_rtt c ~ack;
   c.retries <- 0;
   Rto.reset_backoff c.rto;
   cc_on_new_ack c acked;

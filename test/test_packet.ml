@@ -81,6 +81,102 @@ let prop_checksum_chunking =
       in
       whole = split)
 
+(* The byte-at-a-time RFC 1071 reference the kernel must equal: big-endian
+   16-bit words counted from [pos], a trailing odd byte padded right, the
+   carries folded at the end. *)
+let ref_sum start b ~pos ~len =
+  let s = ref start in
+  for i = pos to pos + len - 1 do
+    let v = Bytes.get_uint8 b i in
+    s := !s + if (i - pos) land 1 = 0 then v lsl 8 else v
+  done;
+  !s
+
+let rec ref_fold s =
+  if s > 0xffff then ref_fold ((s land 0xffff) + (s lsr 16)) else s
+
+let ref_checksum start b ~pos ~len =
+  lnot (ref_fold (ref_sum start b ~pos ~len)) land 0xffff
+
+(* The pseudo-header's words, summed by hand. *)
+let ref_pseudo ~src ~dst ~proto ~len =
+  let src = Addr.to_int src and dst = Addr.to_int dst in
+  (src lsr 16) + (src land 0xffff) + (dst lsr 16) + (dst land 0xffff)
+  + proto + len
+
+(* Every start offset 0-7 and every length 0-700 over one buffer: each
+   alignment of every tail (32-, 8-, 2- and 1-byte) runs, from a zero and
+   from a pseudo-header accumulator.  Bytes lean to 0xFF for long carries. *)
+let prop_checksum_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let addr = map2 (fun hi lo -> Addr.of_int ((hi lsl 16) lor lo))
+          (int_bound 0xffff) (int_bound 0xffff) in
+      let byte = frequency [ (3, char); (1, return '\xff') ] in
+      pair (string_size ~gen:byte (return 708))
+        (quad addr addr (int_bound 255) (int_bound 0xffff)))
+  in
+  QCheck.Test.make ~name:"kernel equals the byte-at-a-time reference" ~count:8
+    (QCheck.make gen) (fun (data, (src, dst, proto, len)) ->
+      let b = Bytes.of_string data in
+      let ph = Checksum.pseudo_header ~src ~dst ~proto ~len in
+      let ph_ref = ref_pseudo ~src ~dst ~proto ~len in
+      let ok = ref true in
+      for pos = 0 to 7 do
+        for n = 0 to 700 do
+          let expect = ref_checksum 0 b ~pos ~len:n in
+          if
+            Checksum.of_bytes b ~pos ~len:n <> expect
+            || Checksum.valid b ~pos ~len:n
+               <> (ref_fold (ref_sum 0 b ~pos ~len:n) = 0xffff)
+            || Checksum.finish (Checksum.add_bytes ph b ~pos ~len:n)
+               <> ref_checksum ph_ref b ~pos ~len:n
+          then ok := false
+        done
+      done;
+      !ok)
+
+let test_checksum_1480 () =
+  let b = Bytes.init 1480 (fun i -> Char.chr (((i * 7) + (i lsr 8)) land 0xff)) in
+  check Alcotest.int "1480 B" (ref_checksum 0 b ~pos:0 ~len:1480)
+    (Checksum.of_bytes b ~pos:0 ~len:1480)
+
+let test_checksum_max_carries () =
+  (* 32,767 words of 0xFFFF fold to 0xFFFF; the odd 0xFF pads to 0xFF00. *)
+  let b = Bytes.make 65_535 '\xff' in
+  check Alcotest.int "65,535 x 0xFF" 0x00ff
+    (Checksum.of_bytes b ~pos:0 ~len:65_535);
+  check Alcotest.int "reference agrees" 0x00ff
+    (ref_checksum 0 b ~pos:0 ~len:65_535)
+
+let test_checksum_pseudo_header_start () =
+  let src = Addr.v 10 0 0 1 and dst = Addr.v 192 168 7 200 in
+  let b = Bytes.init 1480 (fun i -> Char.chr (255 - (i land 0xff))) in
+  let ph = Checksum.pseudo_header ~src ~dst ~proto:6 ~len:1480 in
+  check Alcotest.int "pseudo-header start"
+    (ref_checksum (ref_pseudo ~src ~dst ~proto:6 ~len:1480) b ~pos:0 ~len:1480)
+    (Checksum.finish (Checksum.add_bytes ph b ~pos:0 ~len:1480))
+
+let test_checksum_range_check () =
+  (* The loads after the one range check are unchecked, so the check must
+     refuse every range that leaves the buffer, overflowing sums included. *)
+  let b = Bytes.make 64 'x' in
+  List.iter
+    (fun (pos, len) ->
+      match Checksum.add_bytes Checksum.zero b ~pos ~len with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "pos %d len %d accepted" pos len)
+    [ (-1, 4); (0, -1); (0, 65); (61, 4); (64, 1); (1, max_int); (max_int, 1) ];
+  ignore (Checksum.add_bytes Checksum.zero b ~pos:64 ~len:0 : Checksum.acc)
+
+let test_checksum_allocates_nothing () =
+  let b = Bytes.make 1480 'z' in
+  ignore (Sys.opaque_identity (Checksum.of_bytes b ~pos:0 ~len:1480));
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Checksum.of_bytes b ~pos:0 ~len:1480));
+  let w1 = Gc.minor_words () in
+  check Alcotest.int "minor words" 0 (int_of_float (w1 -. w0))
+
 (* --- Addr ---------------------------------------------------------------- *)
 
 let test_addr_parse_print () =
@@ -676,6 +772,14 @@ let () =
           qcheck prop_checksum_verifies;
           qcheck prop_checksum_detects_single_flip;
           qcheck prop_checksum_chunking;
+          qcheck prop_checksum_matches_reference;
+          Alcotest.test_case "1480 bytes" `Quick test_checksum_1480;
+          Alcotest.test_case "maximal carries" `Quick test_checksum_max_carries;
+          Alcotest.test_case "pseudo-header start" `Quick
+            test_checksum_pseudo_header_start;
+          Alcotest.test_case "range check" `Quick test_checksum_range_check;
+          Alcotest.test_case "allocates nothing" `Quick
+            test_checksum_allocates_nothing;
         ] );
       ( "addr",
         [

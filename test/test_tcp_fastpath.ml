@@ -187,6 +187,28 @@ let test_pure_ack_allocates_nothing () =
   check Alcotest.bool "last ACK predicted" true !predicted;
   check Alcotest.int "words to receive it" 0 !words
 
+let test_sampling_ack_allocates_nothing () =
+  let t, a, _, c, _, _ = established_pair ~delay_us:50_000 in
+  let srtt0 = Tcp.srtt_us c in
+  let words = ref (-1) and predicted = ref 0 in
+  Netsim.set_handler (Internet.net t) a.Internet.h_node (fun ~iface frame ->
+      let acks = (Tcp.stats c).Tcp.fast_path_acks in
+      let w0 = Gc.minor_words () in
+      Ip.Stack.receive a.Internet.h_ip ~iface frame;
+      let w1 = Gc.minor_words () in
+      if (Tcp.stats c).Tcp.fast_path_acks = acks + 1 then begin
+        words := int_of_float (w1 -. w0);
+        incr predicted
+      end);
+  (* One timed segment: b's delayed ACK of it completes the RTT sample,
+     cancels the retransmission timer and finds nothing more to send. *)
+  ignore (Tcp.send c (Bytes.make 100 'x'));
+  Internet.run_for t 2.0;
+  check Alcotest.int "flight empty" (Tcp.snd_nxt c) (Tcp.snd_una c);
+  check Alcotest.int "one predicted ACK" 1 !predicted;
+  check Alcotest.bool "RTT sampled" true (Tcp.srtt_us c <> srtt0);
+  check Alcotest.int "words to receive it" 0 !words
+
 let test_predicted_data_allocates_its_copy () =
   let t, _, b, c, s, received = established_pair ~delay_us:1_000 in
   let eng = Internet.engine t in
@@ -262,6 +284,9 @@ let () =
         [
           Alcotest.test_case "predicted pure ACK allocates nothing" `Quick
             test_pure_ack_allocates_nothing;
+          Alcotest.test_case
+            "a predicted pure ACK that completes an RTT sample allocates nothing"
+            `Quick test_sampling_ack_allocates_nothing;
           Alcotest.test_case "predicted data allocates its copy" `Quick
             test_predicted_data_allocates_its_copy;
         ] );
