@@ -56,7 +56,19 @@ let run_variant cc =
     List.filter_map Apps.Bulk.goodput_bps runs
   in
   let finished = List.length (List.filter Apps.Bulk.finished runs) in
-  let aggregate = List.fold_left ( +. ) 0.0 goodputs in
+  (* Bytes delivered over the makespan.  The flows start and finish at
+     different times, so the sum of their goodputs would exceed what the
+     bottleneck can carry. *)
+  let aggregate =
+    match List.filter_map Apps.Bulk.completed_at_us runs with
+    | [] -> 0.0
+    | done_at ->
+        let first =
+          List.fold_left (fun a r -> min a (Apps.Bulk.started_at_us r)) max_int runs
+        in
+        let last = List.fold_left max 0 done_at in
+        float_of_int (finished * per_flow_bytes) /. Engine.to_sec (last - first)
+  in
   let fairness =
     (* Jain's index over per-flow goodputs. *)
     match goodputs with

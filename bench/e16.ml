@@ -15,18 +15,17 @@
      the transfer still completes intact);
    - the whole gauntlet is deterministic: the same seed produces the
      same schedule, the same fault event trace and the same fault
-     records, bit for bit — checked here by running it twice and
-     comparing digests.
+     records, bit for bit — checked here by running it twice in one
+     process and comparing digests (state a gauntlet leaves behind
+     would show), and across processes by the record, which a fresh
+     run under `dune runtest` must reproduce exactly.
 
-   Results go to stdout and BENCH_survivability.json; bin/check.sh
-   gates on the committed artifact. *)
+   Results go to stdout and BENCH_survivability.json. *)
 
 open Catenet
 
 let full_bytes = 3_000_000
 let storm_seed = 1988
-let required_survival_pct = 100.0
-let reconvergence_budget_s = 12.0
 
 (* E1's ring-plus-chords: six gateways, chords (0,3) (1,4) (2,5); h1 on
    g0, h2 on g3.  Connected even under any single cut in the gauntlet's
@@ -220,7 +219,7 @@ let run () =
   let total = Util.scaled full_bytes in
   let a = run_gauntlet ~total in
   let b = run_gauntlet ~total in
-  let replay_ok =
+  let replay_identical =
     a.o_schedule_digest = b.o_schedule_digest
     && a.o_run_digest = b.o_run_digest
   in
@@ -251,12 +250,12 @@ let run () =
        a.o_records);
   Util.note "%d faults injected, %d soft-state resets traced"
     a.o_fault_events a.o_soft_resets;
-  Util.note "TCP survival %d/%d; worst reconvergence %.2fs (budget %.1fs)"
-    a.o_survived a.o_transfers worst_reconvergence_s reconvergence_budget_s;
-  Util.note "replay: %s (schedule %s, run %s)"
-    (if replay_ok then "bit-for-bit identical" else "DIVERGED")
-    a.o_schedule_digest
+  Util.note "digests: schedule %s, run %s" a.o_schedule_digest
     (String.sub a.o_run_digest 0 12);
+  Util.gate "survival_pct" survival_pct (Util.At_least 100.0);
+  Util.gate "worst_reconvergence_s" worst_reconvergence_s (Util.At_most 12.0);
+  Util.gate "replay_identical" (if replay_identical then 1.0 else 0.0)
+    (Util.At_least 1.0);
 
   let open Trace.Json in
   Util.write_json "BENCH_survivability.json"
@@ -269,7 +268,7 @@ let run () =
          ("fault_events_traced", Int a.o_fault_events);
          ("soft_state_resets", Int a.o_soft_resets);
          ("blackholed_total", Int a.o_blackholed);
-         ( "goodputs_bps",
+         ( "goodputs_bytes_per_s",
            List
              (List.map
                 (function Some g -> Float g | None -> Null)
@@ -277,12 +276,9 @@ let run () =
          ("tcp_survived", Int a.o_survived);
          ("tcp_transfers", Int a.o_transfers);
          ("survival_pct", Float survival_pct);
-         ("required_survival_pct", Float required_survival_pct);
          ( "worst_reconvergence_s",
            if Float.is_finite worst_reconvergence_s then
              Float worst_reconvergence_s
            else Null );
-         ("reconvergence_budget_s", Float reconvergence_budget_s);
          ("schedule_digest", Str a.o_schedule_digest);
-         ("run_digest", Str a.o_run_digest);
-         ("replay_ok", Bool replay_ok) ])
+         ("run_digest", Str a.o_run_digest) ])

@@ -8,11 +8,11 @@
    neither host count nor table size shows up in the per-datagram cost.
 
    We run E13's fast path in-process first and report this topology's
-   figures as ratios against it — same machine, same build, so the
-   committed BENCH_topology.json carries a machine-independent contract:
-   datagrams/s within 20% of the small topology, words/packet within
-   20%.  A second, jumbo build at 10^5 hosts checks that construction,
-   aggregation and delivery still hold one order of magnitude up. *)
+   words/packet as a ratio against it, at most 120% — an exact count,
+   so BENCH_topology.json repeats in every process.  Datagrams/s are one
+   wall-clock sample each, printed only.  A second, jumbo build at 10^5
+   hosts checks that construction, aggregation and delivery still hold
+   one order of magnitude up. *)
 
 open Catenet
 module Addr = Packet.Addr
@@ -82,12 +82,11 @@ let run_topo cfg ~datagrams =
     route_total = Topo.route_entries_total t;
   }
 
-let write_json ~baseline ~main ~jumbo ~datagrams ~dps_ratio ~words_ratio =
+let write_json ~baseline ~main ~jumbo ~datagrams ~words_pct =
   let open Trace.Json in
   let outcome (o : outcome) =
     Obj
       [ ("hosts", Int o.hosts);
-        ("datagrams_per_sec", Float o.dps);
         ("words_per_packet", Float o.words_per_pkt);
         ("core_table_max", Int o.core_table_max);
         ("route_entries_total", Int o.route_total) ]
@@ -97,27 +96,21 @@ let write_json ~baseline ~main ~jumbo ~datagrams ~dps_ratio ~words_ratio =
        [ ("experiment", Str "E17");
          ("datagrams", Int datagrams);
          ("payload_bytes", Int payload_size);
-         ("e13_baseline",
-          Obj
-            [ ("datagrams_per_sec", Float baseline.E13.dps);
-              ("words_per_packet", Float baseline.E13.words_per_pkt) ]);
+         ("e13_words_per_packet", Float baseline.E13.words_per_pkt);
          ("topology", outcome main);
          ("jumbo", outcome jumbo);
-         ("dps_vs_e13_pct", Float (100.0 *. dps_ratio));
-         ("words_vs_e13_pct", Float (100.0 *. words_ratio));
-         ("dps_floor_pct", Float 80.0);
-         ("words_ceiling_pct", Float 120.0) ])
+         ("words_vs_e13_pct", Float words_pct) ])
 
 let run () =
   Util.banner "E17" "internet-scale topology"
     "aggregated per-region prefixes keep 10^4..10^5-host forwarding \
-     within 20% of E13's 8-node chain";
+     within 120% of the words per datagram of E13's 8-node chain";
   let datagrams = Util.scaled full_datagrams in
   let baseline = E13.run_once ~fast:true ~datagrams in
   let main = run_topo main_cfg ~datagrams in
   let jumbo = run_topo jumbo_cfg ~datagrams:(Util.scaled 5_000) in
-  let dps_ratio = main.dps /. baseline.E13.dps in
-  let words_ratio = main.words_per_pkt /. baseline.E13.words_per_pkt in
+  let dps_pct = 100.0 *. main.dps /. baseline.E13.dps in
+  let words_pct = 100.0 *. main.words_per_pkt /. baseline.E13.words_per_pkt in
   Util.table
     [ "topology"; "hosts"; "datagrams/s"; "words/packet"; "max core table" ]
     [
@@ -135,6 +128,6 @@ let run () =
   Util.note
     "throughput %.0f%% of E13, words/packet %.0f%%; %d routes total at %d \
      hosts (max core table %d)"
-    (100.0 *. dps_ratio) (100.0 *. words_ratio) main.route_total main.hosts
-    main.core_table_max;
-  write_json ~baseline ~main ~jumbo ~datagrams ~dps_ratio ~words_ratio
+    dps_pct words_pct main.route_total main.hosts main.core_table_max;
+  Util.gate "words_vs_e13_pct" words_pct (Util.At_most 120.0);
+  write_json ~baseline ~main ~jumbo ~datagrams ~words_pct

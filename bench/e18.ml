@@ -10,13 +10,13 @@
    data, ACK-range probes) into a live transfer over the E17 region
    topology — spoofed from the peer's own address.
 
-   Reported and gated (bin/check.sh over BENCH_tcp_adversary.json):
-   zero connections killed by forgeries, goodput under attack >= 90% of
-   the unattacked run, the fast path bit-for-bit identical to the slow
-   path while under fire, and — the RFC 7323 half — a window-scaled
-   transfer on a high-BDP path (wscale >= 2, window > 64 KiB observed on
-   the wire) completing faster than the same path capped at 16-bit
-   windows. *)
+   Reported in BENCH_tcp_adversary.json and gated below: zero
+   connections killed by forgeries, goodput under attack >= 90% of the
+   unattacked run, the fast path bit-for-bit identical to the slow path
+   while under fire, and — the RFC 7323 half — a window-scaled transfer
+   on a high-BDP path (wscale >= 2, window > 64 KiB observed on the
+   wire) completing faster than the same path capped at 16-bit windows.
+   Every figure is a count or simulated time. *)
 
 open Catenet
 module Wire = Packet.Tcp_wire
@@ -28,7 +28,7 @@ module Addr = Packet.Addr
 let hostile_full = 12_000
 let transfer_full = 8_000_000
 let lfn_total_full = 4_000_000
-let goodput_floor_pct = 90.0
+let lfn_bandwidth_bits_per_s = 200_000_000
 
 type outcome = {
   o_finished : bool;
@@ -43,7 +43,7 @@ type outcome = {
   o_segs_in : int;
   o_retransmits : int;
   o_done_us : int;
-  o_goodput_bps : float;
+  o_goodput_bytes_per_s : float;
 }
 
 (* One bulk transfer across the region topology: sender in region 0,
@@ -148,7 +148,8 @@ let topo_run ~fast ~seed ~hostile ~total =
     o_segs_in = st.Tcp.segs_in;
     o_retransmits = st.Tcp.retransmits;
     o_done_us = Option.value (Apps.Bulk.completed_at_us sender) ~default:(-1);
-    o_goodput_bps = Option.value (Apps.Bulk.goodput_bps sender) ~default:0.0;
+    o_goodput_bytes_per_s =
+      Option.value (Apps.Bulk.goodput_bps sender) ~default:0.0;
   }
 
 (* A long-fat-network transfer: 200 Mbit/s x 40 ms RTT = ~1 MB of BDP,
@@ -162,8 +163,8 @@ let lfn_run ~window_scaling ~total =
   let nb = Netsim.add_node net "rcv" in
   ignore
     (Netsim.add_link net
-       (Netsim.profile "lfn" ~bandwidth_bps:200_000_000 ~delay_us:20_000
-          ~queue_capacity:256)
+       (Netsim.profile "lfn" ~bandwidth_bps:lfn_bandwidth_bits_per_s
+          ~delay_us:20_000 ~queue_capacity:256)
        na nb);
   let a_ip = Ip.Stack.create net na in
   let b_ip = Ip.Stack.create net nb in
@@ -205,8 +206,8 @@ let run () =
   let atk_slow = topo_run ~fast:false ~seed ~hostile ~total in
   let agree = atk = atk_slow in
   let goodput_pct =
-    if base.o_goodput_bps <= 0.0 then 0.0
-    else 100.0 *. atk.o_goodput_bps /. base.o_goodput_bps
+    if base.o_goodput_bytes_per_s <= 0.0 then 0.0
+    else 100.0 *. atk.o_goodput_bytes_per_s /. base.o_goodput_bytes_per_s
   in
   let kills = if atk.o_killed || atk_slow.o_killed then 1 else 0 in
 
@@ -218,6 +219,7 @@ let run () =
     else 0.0
   in
 
+  let mbit o = o.o_goodput_bytes_per_s *. 8.0 /. 1e6 in
   Util.table
     [ "metric"; "value" ]
     [
@@ -226,8 +228,8 @@ let run () =
       [ "rst rejected (inexact)"; string_of_int atk.o_rst_rejected ];
       [ "challenge acks"; string_of_int atk.o_challenges ];
       [ "invalid acks dropped"; string_of_int atk.o_acks_dropped ];
-      [ "goodput unattacked"; Printf.sprintf "%.2f Mb/s" (base.o_goodput_bps /. 1e6) ];
-      [ "goodput under attack"; Printf.sprintf "%.2f Mb/s (%.1f%%)" (atk.o_goodput_bps /. 1e6) goodput_pct ];
+      [ "goodput unattacked"; Printf.sprintf "%.2f Mb/s" (mbit base) ];
+      [ "goodput under attack"; Printf.sprintf "%.2f Mb/s (%.1f%%)" (mbit atk) goodput_pct ];
       [ "fast = slow under attack"; string_of_bool agree ];
       [ "lfn wscale shift"; string_of_int s_shift ];
       [ "lfn peak window"; string_of_int s_peak ];
@@ -242,30 +244,37 @@ let run () =
      bytes for a %.1fx faster transfer"
     atk.o_injected atk.o_rst_rejected atk.o_challenges goodput_pct s_peak
     speedup;
+  Util.gate "hostile_segments" (float_of_int atk.o_injected)
+    (Util.At_least 10_000.0);
+  Util.gate "kills" (float_of_int kills) (Util.At_most 0.0);
+  Util.gate "goodput_attacked_pct" goodput_pct (Util.At_least 90.0);
+  Util.gate "fast_slow_identical" (if agree then 1.0 else 0.0)
+    (Util.At_least 1.0);
+  Util.gate "lfn.wscale_shift" (float_of_int s_shift) (Util.At_least 2.0);
+  Util.gate "lfn.peak_window" (float_of_int s_peak) (Util.Above 65_535.0);
+  Util.gate "lfn.speedup" speedup (Util.Above 1.0);
 
   let open Trace.Json in
   Util.write_json "BENCH_tcp_adversary.json"
     (Obj
        [ ("experiment", Str "E18");
          ("hostile_segments", Int atk.o_injected);
-         ("hostile_floor", Int 10_000);
          ("kills", Int kills);
          ("transfer_bytes", Int total);
          ("transfer_finished", Int (if atk.o_finished && atk.o_intact then 1 else 0));
          ("rst_rejected_inexact", Int atk.o_rst_rejected);
          ("challenge_acks_out", Int atk.o_challenges);
          ("acks_dropped_invalid", Int atk.o_acks_dropped);
-         ("goodput_base_bps", Float base.o_goodput_bps);
-         ("goodput_attacked_bps", Float atk.o_goodput_bps);
+         ("goodput_base_bytes_per_s", Float base.o_goodput_bytes_per_s);
+         ("goodput_attacked_bytes_per_s", Float atk.o_goodput_bytes_per_s);
          ("goodput_attacked_pct", Float goodput_pct);
-         ("goodput_floor_pct", Float goodput_floor_pct);
          ("fast_slow_identical", Int (if agree then 1 else 0));
          ("attacked_segs_out", Int atk.o_segs_out);
          ("attacked_segs_in", Int atk.o_segs_in);
          ("attacked_retransmits", Int atk.o_retransmits);
          ("lfn",
           Obj
-            [ ("bandwidth_bps", Int 200_000_000);
+            [ ("bandwidth_bits_per_s", Int lfn_bandwidth_bits_per_s);
               ("rtt_us", Int 40_000);
               ("bytes", Int lfn_total);
               ("wscale_shift", Int s_shift);

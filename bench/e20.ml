@@ -12,10 +12,11 @@
      sketch  count-min + space-saving     -> throughput + estimates
      exact   the unbounded Hashtbl ledger -> ground truth + memory bar
 
-   Reported (and gated in bin/check.sh on the committed
-   BENCH_accounting.json): sketch-mode datagrams/s >= 90% of
-   accounting-off, byte-weighted error on the true top-100 flows <= 1%,
-   and sketch resident memory <= 10% of the exact table's. *)
+   Reported in BENCH_accounting.json and gated below: byte-weighted
+   error on the true top-100 flows <= 1% and sketch resident memory <=
+   10% of the exact table's, at >= 10^6 distinct flows.  Datagrams/s
+   per mode are one wall-clock sample each, printed only;
+   test_accounting pins sketch-mode [record] at zero words. *)
 
 open Catenet
 
@@ -154,8 +155,9 @@ let run () =
   let err = topk_error ~exact:exact_acc ~sketch:sketch_acc ~n:100 in
   let w_sketch = words sketch_acc in
   let w_exact = words exact_acc in
-  let dps_ratio = sk.dps /. off.dps in
-  let mem_ratio = float_of_int w_sketch /. float_of_int w_exact in
+  let dps_pct = 100.0 *. sk.dps /. off.dps in
+  let err_pct = 100.0 *. err in
+  let mem_pct = 100.0 *. float_of_int w_sketch /. float_of_int w_exact in
   let exact_flows = Ip.Accounting.flow_count exact_acc in
   let est_flows = Ip.Accounting.flow_count sketch_acc in
   Util.table
@@ -170,8 +172,11 @@ let run () =
   Util.note
     "sketch throughput %.0f%% of off, top-100 byte error %.3f%%, memory \
      %.1f%% of exact at %d distinct flows (cardinality estimate %d)"
-    (100.0 *. dps_ratio) (100.0 *. err) (100.0 *. mem_ratio) off.distinct
-    est_flows;
+    dps_pct err_pct mem_pct off.distinct est_flows;
+  Util.gate "distinct_flows" (float_of_int off.distinct)
+    (Util.At_least 1_000_000.0);
+  Util.gate "top100_byte_error_pct" err_pct (Util.At_most 1.0);
+  Util.gate "mem_vs_exact_pct" mem_pct (Util.At_most 10.0);
   let open Trace.Json in
   Util.write_json "BENCH_accounting.json"
     (Obj
@@ -179,16 +184,9 @@ let run () =
          ("distinct_flows", Int off.distinct);
          ("heavy_flows", Int heavy_flows);
          ("datagrams", Int ((heavy_flows * heavy_pkts) + tail));
-         ("off_dps", Float off.dps);
-         ("sketch_dps", Float sk.dps);
-         ("exact_dps", Float ex.dps);
-         ("dps_vs_off_pct", Float (100.0 *. dps_ratio));
-         ("top100_byte_error_pct", Float (100.0 *. err));
+         ("top100_byte_error_pct", Float err_pct);
          ("sketch_words", Int w_sketch);
          ("exact_words", Int w_exact);
-         ("mem_vs_exact_pct", Float (100.0 *. mem_ratio));
+         ("mem_vs_exact_pct", Float mem_pct);
          ("cardinality_estimate", Int est_flows);
-         ("exact_flow_count", Int exact_flows);
-         ("dps_floor_pct", Float 90.0);
-         ("error_ceiling_pct", Float 1.0);
-         ("mem_ceiling_pct", Float 10.0) ])
+         ("exact_flow_count", Int exact_flows) ])

@@ -16,10 +16,10 @@
    crash-amnesia hit — routes restored as reconvergence would, resolver
    caches NOT, because they are the soft state under test.
 
-   Reported and gated (bin/check.sh over the committed BENCH_names.json):
-   steady-state cache hit ratio >= 95%, p99 resolve latency within
-   budget, failover within the E16 reconvergence budget, and zero lost
-   sessions outside the declared crash windows. *)
+   Reported in BENCH_names.json and gated below: steady-state cache hit
+   ratio >= 95%, p99 resolve latency within budget, failover within the
+   E16 reconvergence budget, and zero lost sessions outside the declared
+   crash windows.  Lookups/s is one wall-clock sample, printed only. *)
 
 open Catenet
 module W = Names.Wire
@@ -44,11 +44,6 @@ let flush_at_us = 4_500_000
 let run_until_us = 9_000_000
 let probe_interval_us = 500_000
 let flushed_regions = [ 50; 51; 52; 53 ]
-
-(* Gate thresholds, embedded in the artifact so check.sh reads one file. *)
-let hit_floor_pct = 95.0
-let p99_budget_ms = 20.0
-let failover_budget_s = 12.0
 
 type sess = {
   mutable s_query_us : int;
@@ -406,10 +401,14 @@ let run () =
       [ "resolver amnesia flushes"; string_of_int resolver_flushes ];
       [ "ephemeral ports alloc/reuse"; Printf.sprintf "%d / %d" !eph_allocs !eph_reuses ];
     ];
-  Util.note
-    "one replica crash detected in %.2fs (budget %.1fs); amnesia cost %d \
-     in-window sessions, nothing outside the windows"
-    failover_s failover_budget_s !lost_in_windows;
+  Util.gate "clients" (float_of_int sessions) (Util.At_least 100_000.0);
+  Util.gate "steady_hit_pct" steady_hit_pct (Util.At_least 95.0);
+  Util.gate "p99_resolve_ms" p99_resolve_ms (Util.At_most 20.0);
+  (* -1 when the directory never noticed the crash. *)
+  Util.gate "failover_s" failover_s (Util.At_least 0.0);
+  Util.gate "failover_s" failover_s (Util.At_most 12.0);
+  Util.gate "lost_outside_crash" (float_of_int !lost_outside)
+    (Util.At_most 0.0);
 
   let open Trace.Json in
   Util.write_json "BENCH_names.json"
@@ -421,15 +420,11 @@ let run () =
          ("services", Int services);
          ("replicas_per_service", Int replicas_per_service);
          ("lookups", Int lookups);
-         ("lookups_per_sec", Float (float_of_int lookups /. wall));
          ("steady_hit_pct", Float steady_hit_pct);
-         ("hit_floor_pct", Float hit_floor_pct);
          ("p50_resolve_ms", Float p50_resolve_ms);
          ("p99_resolve_ms", Float p99_resolve_ms);
-         ("p99_budget_ms", Float p99_budget_ms);
          ("failover_s", Float failover_s);
          ("recovery_s", Float recovery_s);
-         ("failover_budget_s", Float failover_budget_s);
          ("goodput_in_crash_pct", Float goodput_in_crash_pct);
          ("completed", Int !completed);
          ("servfail_sessions", Int !servfails);

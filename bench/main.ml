@@ -76,5 +76,10 @@ let () =
       "catenet experiment harness - reproducing the claims of Clark, \"The\n\
        Design Philosophy of the DARPA Internet Protocols\" (SIGCOMM 1988).";
     List.iter (fun ((_, _, run) as e) -> if wanted e then run ()) experiments;
-    print_endline "\ndone."
+    print_endline "\ndone.";
+    match List.rev !Util.failed_gates with
+    | [] -> ()
+    | missed ->
+        List.iter (Printf.eprintf "bench: gate failed: %s\n") missed;
+        exit 1
   end

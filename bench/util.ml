@@ -1,5 +1,5 @@
-(* Shared plumbing for the experiment harness: table rendering and a few
-   topology/workload helpers reused across experiments. *)
+(* Shared plumbing for the experiment harness: table rendering, record
+   gates and a few topology/workload helpers reused across experiments. *)
 
 open Catenet
 
@@ -47,6 +47,36 @@ let wall_and_words f =
   f ();
   let wall = Unix.gettimeofday () -. t0 in
   (wall, Gc.minor_words () -. w0)
+
+(* --- gates ---------------------------------------------------------------- *)
+
+(* A bound on one exact record field, stated in the bench beside the
+   value it bounds.  [gate] prints the verdict; a bound missed at full
+   scale is remembered, and the harness exits non-zero after the run.
+   Smoke-scale figures are too small to meet the bounds, so there a
+   miss is printed but not enforced. *)
+type bound = At_least of float | At_most of float | Above of float
+
+let failed_gates = ref []
+
+let gate name value bound =
+  let num x =
+    if Float.is_integer x then Printf.sprintf "%.0f" x else Printf.sprintf "%g" x
+  in
+  let ok, rel =
+    match bound with
+    | At_least b -> (value >= b, ">= " ^ num b)
+    | At_most b -> (value <= b, "<= " ^ num b)
+    | Above b -> (value > b, "> " ^ num b)
+  in
+  let line = Printf.sprintf "%s = %s, bound %s" name (num value) rel in
+  let verdict =
+    if ok then "ok"
+    else if !smoke then "missed (smoke: not enforced)"
+    else "FAIL"
+  in
+  Printf.printf "  gate: %s: %s\n" line verdict;
+  if not (ok || !smoke) then failed_gates := line :: !failed_gates
 
 (* --- output -------------------------------------------------------------- *)
 

@@ -223,19 +223,21 @@ let flows ?limit t =
   in
   (* Total order: bytes desc, then packets desc, then the rendered flow
      identity — equal-sized flows used to tie-break on hash-table
-     iteration order, which leaked into to_json and the BENCH files. *)
+     iteration order, which leaked into to_json and the BENCH files.
+     Rendering is a [Format] call, so a flow is rendered only once it
+     ties, and then once, not at every comparison. *)
   let sorted =
     List.sort
-      (fun (f1, a) (f2, b) ->
+      (fun (k1, (_, a)) (k2, (_, b)) ->
         match Int.compare b.bytes a.bytes with
         | 0 -> (
             match Int.compare b.packets a.packets with
-            | 0 -> String.compare (flow_to_string f1) (flow_to_string f2)
+            | 0 -> String.compare (Lazy.force k1) (Lazy.force k2)
             | c -> c)
         | c -> c)
-      all
+      (List.map (fun ((f, _) as e) -> (lazy (flow_to_string f), e)) all)
   in
-  match limit with None -> sorted | Some n -> take n sorted
+  List.map snd (match limit with None -> sorted | Some n -> take n sorted)
 
 (* -- epoch rotation -------------------------------------------------- *)
 

@@ -82,56 +82,3 @@ let write_file path t =
   output_string oc (to_string t);
   output_char oc '\n';
   close_out oc
-
-(* A deliberately dumb extractor for the flat BENCH_*.json files this repo
-   writes: walk down [keys] (each names an object member) and read the
-   number that follows.  Not a JSON parser — just enough for check.sh-style
-   cross-referencing between bench outputs. *)
-let number_at ~keys text =
-  let find_from pos needle =
-    let n = String.length needle and len = String.length text in
-    let rec scan i =
-      if i + n > len then None
-      else if String.sub text i n = needle then Some (i + n)
-      else scan (i + 1)
-    in
-    scan pos
-  in
-  let rec walk pos = function
-    | [] ->
-        (* Skip to the number after the last key's colon. *)
-        let len = String.length text in
-        let rec skip i =
-          if i >= len then None
-          else
-            match text.[i] with
-            | ' ' | ':' | '\t' | '\n' -> skip (i + 1)
-            | '-' | '0' .. '9' ->
-                let j = ref i in
-                while
-                  !j < len
-                  && (match text.[!j] with
-                     | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-                     | _ -> false)
-                do
-                  incr j
-                done;
-                float_of_string_opt (String.sub text i (!j - i))
-            | _ -> None
-        in
-        skip pos
-    | k :: rest -> (
-        match find_from pos ("\"" ^ k ^ "\"") with
-        | Some p -> walk p rest
-        | None -> None)
-  in
-  walk 0 keys
-
-let number_in_file ~keys path =
-  match open_in path with
-  | exception Sys_error _ -> None
-  | ic ->
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      number_at ~keys s

@@ -16,16 +16,6 @@ val to_string : t -> string
 (** Pretty-printed (2-space indent), UTF-8 passthrough, control characters
     escaped. *)
 
-val to_buffer : Buffer.t -> t -> unit
-
 val write_file : string -> t -> unit
 (** [to_string] plus a trailing newline, written atomically enough for
     bench artifacts. *)
-
-val number_at : keys:string list -> string -> float option
-(** Walk object members named by [keys] in order and read the number after
-    the last one.  A substring scanner, not a parser: enough to pull a
-    single figure back out of a BENCH_*.json this module wrote. *)
-
-val number_in_file : keys:string list -> string -> float option
-(** [number_at] over a file's contents; [None] when unreadable. *)
